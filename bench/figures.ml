@@ -189,8 +189,8 @@ let fig12 () =
           match List.find_opt (fun (b : Benchmarks.Suite.bench) -> b.name = name) suite with
           | None -> ()
           | Some b ->
-            let eff = Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Eff rng b.program in
-            let logical = eff.Compiler.Pipeline.circuit in
+            let eff = fst (Compiler.Passes.compile_plan_exn ~mode:Eff rng b.program) in
+            let logical = eff.Compiler.Passes.circuit in
             let n = logical.Circuit.n in
             let topo = topo_of n shape in
             let plain = Compiler.Routing.route ~mirror:false (Numerics.Rng.create 3L) topo logical in
@@ -242,16 +242,16 @@ let fig13 () =
     (fun (b : Benchmarks.Suite.bench) ->
       let input = Compiler.Pipeline.program_to_cnot_input b.program in
       if Circuit.count_2q input <= 600 then begin
-        let eff = Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Eff rng b.program in
-        let full = Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Full rng b.program in
-        let de = Circuit.distinct_2q eff.Compiler.Pipeline.circuit in
-        let df = Circuit.distinct_2q full.Compiler.Pipeline.circuit in
+        let eff = fst (Compiler.Passes.compile_plan_exn ~mode:Eff rng b.program) in
+        let full = fst (Compiler.Passes.compile_plan_exn ~mode:Full rng b.program) in
+        let de = Circuit.distinct_2q eff.Compiler.Passes.circuit in
+        let df = Circuit.distinct_2q full.Compiler.Passes.circuit in
         eff_d := float_of_int de :: !eff_d;
         full_d := float_of_int df :: !full_d;
         Printf.printf "%-14s %8d %12d %12d %12d %12d\n%!" b.name (Circuit.count_2q input)
-          (Circuit.count_2q eff.Compiler.Pipeline.circuit)
+          (Circuit.count_2q eff.Compiler.Passes.circuit)
           de
-          (Circuit.count_2q full.Compiler.Pipeline.circuit)
+          (Circuit.count_2q full.Compiler.Passes.circuit)
           df
       end)
     suite;
@@ -289,15 +289,15 @@ let fig14 () =
           Compiler.Baselines.bqskit_like (Numerics.Rng.split rng)
             ~target:Compiler.Baselines.To_su4 input
         in
-        let nc = Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Nc rng b.program in
-        let full = Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Full rng b.program in
+        let nc = fst (Compiler.Passes.compile_plan_exn ~mode:Nc rng b.program) in
+        let full = fst (Compiler.Passes.compile_plan_exn ~mode:Full rng b.program) in
         Printf.printf "%-12s %7.1f(%2d) %7.1f(%2d) %7.1f(%2d) %7.1f(%2d) %7.1f(%2d)\n%!"
           name (red qs) (Circuit.distinct_2q qs) (red ts) (Circuit.distinct_2q ts)
           (red bs) (Circuit.distinct_2q bs)
-          (red nc.Compiler.Pipeline.circuit)
-          (Circuit.distinct_2q nc.Compiler.Pipeline.circuit)
-          (red full.Compiler.Pipeline.circuit)
-          (Circuit.distinct_2q full.Compiler.Pipeline.circuit))
+          (red nc.Compiler.Passes.circuit)
+          (Circuit.distinct_2q nc.Compiler.Passes.circuit)
+          (red full.Compiler.Passes.circuit)
+          (Circuit.distinct_2q full.Compiler.Passes.circuit))
     names;
   paper
     "ReQISC-Full beats the SU(4)-variant baselines; BQSKit-SU4 reduces gates but \
@@ -341,8 +341,8 @@ let fig15 ~trajectories () =
               | Compiler.Pipeline.Pauli p -> Compiler.Baselines.tket_like_pauli p
               | _ -> Compiler.Baselines.tket_like input
             in
-            let eff = Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Eff rng b.program in
-            let req = eff.Compiler.Pipeline.circuit in
+            let eff = fst (Compiler.Passes.compile_plan_exn ~mode:Eff rng b.program) in
+            let req = eff.Compiler.Passes.circuit in
             let tket, req =
               match shape with
               | `Logical -> (tket, req)
@@ -406,11 +406,11 @@ let fig16 () =
             Quantum.Fidelity.infidelity u0 u
           in
           let plain c = infid (Circuit.unitary c) in
-          let mapped (out : Compiler.Pipeline.output) =
-            let fix = arrange_matrix input.Circuit.n out.Compiler.Pipeline.final_mapping in
+          let mapped (out : Compiler.Passes.output) =
+            let fix = arrange_matrix input.Circuit.n out.Compiler.Passes.final_mapping in
             infid
               (Numerics.Mat.mul (Numerics.Mat.dagger fix)
-                 (Circuit.unitary out.Compiler.Pipeline.circuit))
+                 (Circuit.unitary out.Compiler.Passes.circuit))
           in
           let q = plain (Compiler.Baselines.qiskit_like input) in
           let t = plain (Compiler.Baselines.tket_like input) in
@@ -419,8 +419,9 @@ let fig16 () =
               (Compiler.Baselines.bqskit_like (Numerics.Rng.split rng)
                  ~target:Compiler.Baselines.To_cnot input)
           in
-          let e = mapped (Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Eff rng b.program) in
-          let f = mapped (Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Full rng b.program) in
+          let compile mode = fst (Compiler.Passes.compile_plan_exn ~mode rng b.program) in
+          let e = mapped (compile Compiler.Passes.Eff) in
+          let f = mapped (compile Compiler.Passes.Full) in
           Printf.printf "%-14s %11.2e %11.2e %11.2e %11.2e %11.2e\n%!" name q t bq e f
         end)
     names;
@@ -446,12 +447,9 @@ let fig16 () =
               Compiler.Baselines.bqskit_like (Numerics.Rng.split rng)
                 ~target:Compiler.Baselines.To_cnot input)
         in
-        let _, te =
-          timeit (fun () -> Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Eff rng b.program)
-        in
-        let _, tf =
-          timeit (fun () -> Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Full rng b.program)
-        in
+        let compile mode () = Compiler.Passes.compile_plan_exn ~mode rng b.program in
+        let _, te = timeit (compile Compiler.Passes.Eff) in
+        let _, tf = timeit (compile Compiler.Passes.Full) in
         Printf.printf "%-14s %8d %10.3f %10.3f %10.3f %10.3f %10.3f\n%!" name
           (Circuit.count_2q input) tq tt tb te tf)
     latency_names;

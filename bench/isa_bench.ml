@@ -10,12 +10,8 @@
 
 open Util
 
-type cell = {
-  count_2q : int;
-  depth_2q : int;
-  duration : float;
-  wall_s : float;
-}
+(* a cell's metrics are under the target's own cost model *)
+type cell = { report : Compiler.Metrics.report; wall_s : float }
 
 let isa_bench ?(limit = 4) ~big () =
   hr "isa: cross-ISA compilation matrix";
@@ -30,22 +26,15 @@ let isa_bench ?(limit = 4) ~big () =
           List.map
             (fun (t : Isa.target) ->
               let rng = Numerics.Rng.create 1L in
-              let plan = Compiler.Passes.plan_for_isa t in
               let res, wall =
                 timeit (fun () ->
-                    Compiler.Passes.compile_plan ~plan rng b.Benchmarks.Suite.program)
+                    Compiler.Passes.compile_plan ~isa:t.Isa.name rng
+                      b.Benchmarks.Suite.program)
               in
               match res with
               | Ok (out, _) ->
-                let c = out.Compiler.Pipeline.circuit in
-                ( t,
-                  Some
-                    {
-                      count_2q = Circuit.count_2q c;
-                      depth_2q = Circuit.depth_2q c;
-                      duration = Isa.duration t c;
-                      wall_s = wall;
-                    } )
+                let report = Compiler.Metrics.report (Compiler.Metrics.Target t) out.circuit in
+                (t, Some { report; wall_s = wall })
               | Error e ->
                 incr failures;
                 Printf.printf "  %s/%s failed: %s\n" b.Benchmarks.Suite.name
@@ -66,7 +55,7 @@ let isa_bench ?(limit = 4) ~big () =
       List.iter
         (fun ((_ : Isa.target), cell) ->
           match cell with
-          | Some c -> Printf.printf " %6d/%7.1f" c.count_2q c.duration
+          | Some c -> Printf.printf " %6d/%7.1f" c.report.count_2q c.report.duration
           | None -> Printf.printf " %14s" "-")
         cells;
       Printf.printf "\n")
@@ -82,8 +71,10 @@ let isa_bench ?(limit = 4) ~big () =
           List.filter_map
             (fun ((t : Isa.target), cell) ->
               match cell with
-              | Some c when t.Isa.name <> "native" && c.count_2q < native.count_2q ->
-                Some (Printf.sprintf "%s: %s %d < native %d" bench t.Isa.name c.count_2q native.count_2q)
+              | Some c when t.Isa.name <> "native" && c.report.count_2q < native.report.count_2q ->
+                Some
+                  (Printf.sprintf "%s: %s %d < native %d" bench t.Isa.name c.report.count_2q
+                     native.report.count_2q)
               | _ -> None)
             cells
         | _ -> [ Printf.sprintf "%s: no native result" bench ])
@@ -115,7 +106,7 @@ let isa_bench ?(limit = 4) ~big () =
                 bpf
                   "%s\"%s\": {\"count_2q\": %d, \"depth_2q\": %d, \
                    \"duration\": %.6f, \"wall_seconds\": %.6f}"
-                  sep t.Isa.name c.count_2q c.depth_2q c.duration c.wall_s
+                  sep t.Isa.name c.report.count_2q c.report.depth_2q c.report.duration c.wall_s
               | None -> bpf "%s\"%s\": null" sep t.Isa.name)
             cells;
           bpf "}%s\n" (if i = nb - 1 then "" else ","))
@@ -130,7 +121,8 @@ let isa_bench ?(limit = 4) ~big () =
          :: List.concat_map
               (fun ((_ : Isa.target), cell) ->
                 match cell with
-                | Some c -> [ string_of_int c.count_2q; Printf.sprintf "%.4f" c.duration ]
+                | Some c ->
+                  [ string_of_int c.report.count_2q; Printf.sprintf "%.4f" c.report.duration ]
                 | None -> [ "-"; "-" ])
               cells)
        rows)

@@ -27,9 +27,9 @@ let workload ~limit ~big () =
     List.iter
       (fun (b : Benchmarks.Suite.bench) ->
         let rng = Numerics.Rng.create 1L in
-        match Compiler.Pipeline.compile_r ~mode:Compiler.Pipeline.Eff rng b.program with
+        match Result.map fst (Compiler.Passes.compile_plan ~mode:Eff rng b.program) with
         | Error _ -> ()
-        | Ok out -> ignore (Reqisc.pulse_outcomes xy out.Compiler.Pipeline.circuit))
+        | Ok out -> ignore (Reqisc.pulse_outcomes xy out.Compiler.Passes.circuit))
       suite
 
 let min_of xs = List.fold_left Float.min infinity xs

@@ -47,10 +47,10 @@ let run_workload ~limit ~big () =
   List.iter
     (fun (b : Benchmarks.Suite.bench) ->
       let rng = Numerics.Rng.create 1L in
-      let out = Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Eff rng b.program in
+      let out = fst (Compiler.Passes.compile_plan_exn ~mode:Eff rng b.program) in
       Printf.ksprintf (Buffer.add_string buf) "== %s #2Q=%d\n" b.name
-        (Circuit.count_2q out.Compiler.Pipeline.circuit);
-      List.iter (render_outcome buf) (Reqisc.pulse_outcomes xy out.Compiler.Pipeline.circuit))
+        (Circuit.count_2q out.Compiler.Passes.circuit);
+      List.iter (render_outcome buf) (Reqisc.pulse_outcomes xy out.Compiler.Passes.circuit))
     suite;
   Buffer.contents buf
 

@@ -88,10 +88,10 @@ let table2_compute ((b : Benchmarks.Suite.bench), rng) =
     Compiler.Baselines.bqskit_like (Numerics.Rng.split rng)
       ~target:Compiler.Baselines.To_cnot input
   in
-  let eff = Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Eff rng b.program in
-  let full = Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Full rng b.program in
-  let eff_report = Compiler.Metrics.report su4_isa eff.Compiler.Pipeline.circuit in
-  let full_report = Compiler.Metrics.report su4_isa full.Compiler.Pipeline.circuit in
+  let eff = fst (Compiler.Passes.compile_plan_exn ~mode:Eff rng b.program) in
+  let full = fst (Compiler.Passes.compile_plan_exn ~mode:Full rng b.program) in
+  let eff_report = Compiler.Metrics.report su4_isa eff.Compiler.Passes.circuit in
+  let full_report = Compiler.Metrics.report su4_isa full.Compiler.Passes.circuit in
   let csv_row =
     [
       b.name; b.category;
@@ -99,8 +99,8 @@ let table2_compute ((b : Benchmarks.Suite.bench), rng) =
       string_of_int (Circuit.count_2q qiskit);
       string_of_int (Circuit.count_2q tket);
       string_of_int (Circuit.count_2q bq);
-      string_of_int (Circuit.count_2q eff.Compiler.Pipeline.circuit);
-      string_of_int (Circuit.count_2q full.Compiler.Pipeline.circuit);
+      string_of_int (Circuit.count_2q eff.Compiler.Passes.circuit);
+      string_of_int (Circuit.count_2q full.Compiler.Passes.circuit);
       Printf.sprintf "%.4f" base.Compiler.Metrics.duration;
       Printf.sprintf "%.4f" eff_report.Compiler.Metrics.duration;
       Printf.sprintf "%.4f" full_report.Compiler.Metrics.duration;
@@ -118,9 +118,9 @@ let table2_compute ((b : Benchmarks.Suite.bench), rng) =
         ("Full", full_report);
       ];
     csv_row;
-    eff_2q = Circuit.count_2q eff.Compiler.Pipeline.circuit;
-    full_2q = Circuit.count_2q full.Compiler.Pipeline.circuit;
-    solver_outcomes = sample_solver_outcomes eff.Compiler.Pipeline.circuit;
+    eff_2q = Circuit.count_2q eff.Compiler.Passes.circuit;
+    full_2q = Circuit.count_2q full.Compiler.Passes.circuit;
+    solver_outcomes = sample_solver_outcomes eff.Compiler.Passes.circuit;
   }
 
 (* One broken bench must not abort the whole sweep: failures come back as

@@ -219,105 +219,80 @@ let cmd_passes () =
   Printf.printf "\nnamed plans:\n";
   List.iter
     (fun mode ->
-      let plan = Reqisc.Plan.default mode in
-      Printf.printf "  %-16s %s\n" (Reqisc.Plan.name plan)
-        (String.concat " -> " (Reqisc.Plan.pass_names plan)))
-    [ Reqisc.Eff; Reqisc.Full; Reqisc.Nc ]
+      let plan = Compiler.Passes.plan_of_mode mode in
+      Printf.printf "  %-16s %s\n" plan.plan_name
+        (String.concat " -> " (List.map (fun (p : Compiler.Pass.t) -> p.name) plan.passes)))
+    Compiler.Passes.modes
 
 let cmd_compile name args =
   let b = find_bench name in
   let mode =
-    match flag_value args "--mode" with
-    | Some "full" -> Compiler.Pipeline.Full
-    | Some "nc" -> Compiler.Pipeline.Nc
-    | Some "eff" | None -> Compiler.Pipeline.Eff
-    | Some other -> usage_error "unknown mode %s (expected eff|full|nc)" other
+    match Option.map Compiler.Passes.mode_of_name (flag_value args "--mode") with
+    | None -> Compiler.Passes.Eff
+    | Some (Ok mode) -> mode
+    | Some (Error msg) -> usage_error "%s" msg
   in
   let plan =
     match flag_value args "--passes" with
-    | None -> Reqisc.Plan.default mode
-    | Some spec ->
+    | None -> None
+    | Some spec -> (
       if flag_value args "--mode" <> None then
         usage_error "give either --mode or --passes, not both";
       let names = String.split_on_char ',' spec in
       List.iter (check_pass_name "--passes") names;
-      (match Reqisc.Plan.of_names names with
-      | Ok plan -> plan
+      match Compiler.Passes.of_names names with
+      | Ok plan -> Some plan
       | Error e -> usage_error "--passes: %s" (Robust.Err.to_string e))
   in
-  (* target-ISA lowering: --isa retargets the default plan of the mode
-     (it replaces mirroring with the [to_can; lower_isa] tail, so it is
-     exclusive with an explicit --passes plan) *)
-  let isa_target =
-    match flag_value args "--isa" with
-    | None -> None
-    | Some name ->
-      if flag_value args "--passes" <> None then
-        usage_error "give either --passes or --isa, not both";
-      (match Isa.find name with
-      | Some t -> Some t
-      | None ->
-        usage_error "unknown isa %s (known targets: %s)" name
-          (String.concat ", " Isa.known_names))
-  in
-  let plan =
-    match isa_target with
-    | None -> plan
-    | Some t -> Compiler.Passes.plan_for_isa ~mode t
-  in
+  (* --isa retargets the selected plan: the mode's default plan swaps
+     mirroring for the [to_can; lower_isa] tail, a --passes plan gets the
+     tail appended *)
+  let isa = flag_value args "--isa" in
   let start_from = flag_value args "--start-from" in
   let stop_after = flag_value args "--stop-after" in
   Option.iter (check_pass_name "--start-from") start_from;
   Option.iter (check_pass_name "--stop-after") stop_after;
-  let custom_plan =
-    flag_value args "--passes" <> None || start_from <> None || stop_after <> None
-    || isa_target <> None
-  in
   let rng = Numerics.Rng.create 1L in
+  let out, stats =
+    match
+      Compiler.Passes.compile_plan ~mode ?plan ?isa ?start_from ?stop_after rng b.program
+    with
+    | Ok (out, stats) -> (out, stats)
+    | Error (Robust.Err.Ill_conditioned { stage; detail }) when stage = Isa.stage ->
+      usage_error "%s" detail
+    | Error e -> solver_error e
+  in
+  let target = Option.bind isa Isa.find in
+  let custom_plan = plan <> None || start_from <> None || stop_after <> None || isa <> None in
   let input = Compiler.Pipeline.program_to_cnot_input b.program in
   let base = Compiler.Metrics.report Compiler.Metrics.Cnot_isa input in
   Printf.printf "%s (%s), %d qubits\n" b.name b.category input.Circuit.n;
   Printf.printf "input (CNOT ISA):   %s\n"
     (Format.asprintf "%a" Compiler.Metrics.pp_report base);
-  let out, stats =
-    match
-      Compiler.Passes.compile_plan ?start_from ?stop_after ~plan rng b.program
-    with
-    | Ok (out, stats) -> (out, stats)
-    | Error e -> solver_error e
-  in
+  (* metrics under the target's own cost model when lowered to one *)
   let r =
-    match isa_target with
-    | Some t ->
-      (* metrics under the target's own cost model (fixed basis-gate tau,
-         or cycle-quantized slots for eqasm) *)
-      let c = out.Compiler.Pipeline.circuit in
-      {
-        Compiler.Metrics.count_2q = Circuit.count_2q c;
-        depth_2q = Circuit.depth_2q c;
-        duration = Isa.duration t c;
-        distinct_2q = Circuit.distinct_2q c;
-      }
-    | None ->
-      Compiler.Metrics.report
-        (Compiler.Metrics.Su4_isa (Microarch.Coupling.xy ~g:1.0))
-        out.Compiler.Pipeline.circuit
+    Compiler.Metrics.report
+      (match target with
+      | Some t -> Compiler.Metrics.Target t
+      | None -> Compiler.Metrics.Su4_isa (Microarch.Coupling.xy ~g:1.0))
+      out.circuit
   in
   let label =
-    match isa_target with
-    | Some t -> Printf.sprintf "isa %s" t.Isa.name
-    | None ->
-      if custom_plan then Printf.sprintf "plan %s" (Reqisc.Plan.name plan)
-      else Compiler.Pipeline.mode_to_string mode
+    match (target, plan) with
+    | Some t, _ -> Printf.sprintf "isa %s" t.Isa.name
+    | None, Some plan -> Printf.sprintf "plan %s" plan.plan_name
+    | None, None ->
+      if custom_plan then Printf.sprintf "plan %s" (Compiler.Passes.mode_name mode)
+      else Compiler.Passes.mode_to_string mode
   in
   Printf.printf "%s:  %s  (mirrored %d)\n" label
     (Format.asprintf "%a" Compiler.Metrics.pp_report r)
-    out.Compiler.Pipeline.mirrored;
+    out.mirrored;
   (* the timed executable format gets its schedule printed: explicit
      pulse slots with start times and cycle-quantized durations *)
-  (match isa_target with
+  (match target with
   | Some t when t.Isa.name = "eqasm" ->
-    let lines = String.split_on_char '\n' (Isa.eqasm_text t out.Compiler.Pipeline.circuit) in
+    let lines = String.split_on_char '\n' (Isa.eqasm_text t out.circuit) in
     let limit = 14 in
     List.iteri (fun i l -> if i < limit && l <> "" then print_endline l) lines;
     let extra = List.length lines - limit in
@@ -335,7 +310,7 @@ let cmd_compile name args =
   end;
   (match flag_value args "--route" with
   | Some kind ->
-    let n = out.Compiler.Pipeline.circuit.Circuit.n in
+    let n = out.circuit.Circuit.n in
     let topo =
       if kind = "grid" then begin
         let cols = int_of_float (Float.ceil (sqrt (float_of_int n))) in
@@ -345,7 +320,7 @@ let cmd_compile name args =
       else usage_error "unknown topology %s (expected chain|grid)" kind
     in
     let routed =
-      match Reqisc.route ~mirror:true rng topo out.Compiler.Pipeline.circuit with
+      match Reqisc.route ~mirror:true rng topo out.circuit with
       | Ok routed -> routed
       | Error e -> solver_error e
     in
@@ -354,7 +329,7 @@ let cmd_compile name args =
       routed.Compiler.Routing.swaps_inserted routed.Compiler.Routing.swaps_absorbed
   | None -> ());
   if List.mem "--pulses" args then
-    run_pulses (Microarch.Coupling.xy ~g:1.0) out.Compiler.Pipeline.circuit
+    run_pulses (Microarch.Coupling.xy ~g:1.0) out.circuit
 
 let cmd_pulse name args =
   let gate =

@@ -25,11 +25,12 @@ let () =
 
   (* ReQISC compilation to the {Can, U3} ISA — the facade is
      result-first, so failures arrive as typed errors. The pipeline is a
-     plan of named passes; [Plan.default Eff] is what [~mode:Eff] runs,
-     and custom plans come from [Reqisc.Plan.of_names]. *)
-  let plan = Reqisc.Plan.default Reqisc.Eff in
-  Printf.printf "plan %s: %s\n\n" (Reqisc.Plan.name plan)
-    (String.concat " -> " (Reqisc.Plan.pass_names plan));
+     plan of named passes; [Compiler.Passes.plan_of_mode Eff] is what
+     [~mode:Eff] runs, and custom plans come from
+     [Compiler.Passes.of_names]. *)
+  let plan = Compiler.Passes.plan_of_mode Reqisc.Eff in
+  Printf.printf "plan %s: %s\n\n" plan.plan_name
+    (String.concat " -> " (List.map (fun (p : Compiler.Pass.t) -> p.name) plan.passes));
   let out =
     match Reqisc.compile ~plan rng circuit with
     | Ok out -> out

@@ -1,4 +1,4 @@
-type isa = Cnot_isa | Su4_isa of Microarch.Coupling.t
+type isa = Cnot_isa | Su4_isa of Microarch.Coupling.t | Target of Isa.target
 
 type report = {
   count_2q : int;
@@ -8,18 +8,20 @@ type report = {
 }
 
 let gate_tau isa (g : Gate.t) =
-  if not (Gate.is_2q g) then 0.0
-  else
-    match isa with
-    | Cnot_isa -> Microarch.Duration.conventional_cnot_tau ~g:1.0
-    | Su4_isa coupling ->
-      Microarch.Tau.tau_opt coupling (Weyl.Kak.coords_of g.Gate.mat)
+  match isa with
+  | Target t -> t.Isa.gate_tau g
+  | _ when not (Gate.is_2q g) -> 0.0
+  | Cnot_isa -> Microarch.Duration.conventional_cnot_tau ~g:1.0
+  | Su4_isa coupling -> Microarch.Tau.tau_opt coupling (Weyl.Kak.coords_of g.Gate.mat)
 
 let report isa c =
   {
     count_2q = Circuit.count_2q c;
     depth_2q = Circuit.depth_2q c;
-    duration = Circuit.duration ~tau:(gate_tau isa) c;
+    duration =
+      (match isa with
+      | Target t -> Isa.duration t c
+      | Cnot_isa | Su4_isa _ -> Circuit.duration ~tau:(gate_tau isa) c);
     distinct_2q = Circuit.distinct_2q c;
   }
 

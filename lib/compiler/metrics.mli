@@ -1,10 +1,14 @@
-(** Evaluation metrics (Section 6.1.1) for compiled circuits under either
-    ISA: #2Q, Depth2Q, pulse duration, distinct SU(4) count. *)
+(** Evaluation metrics (Section 6.1.1) for compiled circuits under a
+    cost model: #2Q, Depth2Q, pulse duration, distinct SU(4) count. *)
 
 type isa =
   | Cnot_isa  (** every 2Q gate executes as a conventional CNOT pulse *)
   | Su4_isa of Microarch.Coupling.t
       (** native genAshN realization: per-gate time-optimal duration *)
+  | Target of Isa.target
+      (** a circuit lowered to a target ISA, under the target's own cost
+          model ({!Isa.duration}: fixed basis-gate tau, or
+          cycle-quantized slots for eqasm) *)
 
 type report = {
   count_2q : int;
@@ -14,8 +18,9 @@ type report = {
 }
 
 (** [gate_tau isa g] is the pulse duration of one gate (0 for 1Q gates,
-    which execute as virtual/PMW rotations). Under [Cnot_isa], every 2Q
-    gate costs the conventional CNOT duration pi/(sqrt 2 g) with g = 1. *)
+    which execute as virtual/PMW rotations, except where a [Target]
+    charges them). Under [Cnot_isa], every 2Q gate costs the
+    conventional CNOT duration pi/(sqrt 2 g) with g = 1. *)
 val gate_tau : isa -> Gate.t -> float
 
 (** [report isa c] computes all metrics for a lowered (arity <= 2)

@@ -42,12 +42,12 @@ let count_2q ir =
 let depth_2q ir =
   match circuit_of_ir ir with Some c -> Circuit.depth_2q c | None -> -1
 
-type ctx = { rng : Rng.t; lib : Template.library; mirror_threshold : float }
+type ctx = { rng : Rng.t; lib : Template.library }
 
-let make_ctx ?(mirror_threshold = Mirroring.default_threshold) rng =
+let make_ctx rng =
   (* one split, before anything else touches [rng]: the same RNG stream
      prefix the fused pipeline consumed, so plan runs replay it *)
-  { rng; lib = Template.create_library (Rng.split rng); mirror_threshold }
+  { rng; lib = Template.create_library (Rng.split rng) }
 
 type oracle = { tol : float; max_qubits : int }
 

@@ -58,16 +58,15 @@ val depth_2q : ir -> int
 
 (** Per-compilation pass context. [make_ctx rng] performs exactly the
     pipeline preamble the fused compiler performed — one [Rng.split] to
-    seed the template library — so a plan run and the historical
-    [Pipeline.compile] consume the RNG stream identically (the rung-0
+    seed the template library — so every plan run consumes the RNG
+    stream exactly as the original fused compiler did (the rung-0
     byte-identity contract). *)
 type ctx = {
   rng : Rng.t;  (** the pipeline stream (hierarchical resynthesis) *)
   lib : Template.library;  (** memoized 3Q template library *)
-  mirror_threshold : float;  (** near-identity radius for mirroring *)
 }
 
-val make_ctx : ?mirror_threshold:float -> Rng.t -> ctx
+val make_ctx : Rng.t -> ctx
 
 (** Semantic oracle attached to every pass: after the pass, the IR must
     still denote the source unitary within [tol] (statevector fidelity

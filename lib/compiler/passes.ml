@@ -1,5 +1,16 @@
 type mode = Eff | Full | Nc
 
+let modes = [ Eff; Full; Nc ]
+let mode_name = function Eff -> "eff" | Full -> "full" | Nc -> "nc"
+
+let mode_of_name name =
+  match List.find_opt (fun m -> mode_name m = name) modes with
+  | Some m -> Ok m
+  | None ->
+    Error
+      (Printf.sprintf "unknown mode %S (expected %s)" name
+         (String.concat "|" (List.map mode_name modes)))
+
 let mode_to_string = function
   | Eff -> "ReQISC-Eff"
   | Full -> "ReQISC-Full"
@@ -93,9 +104,9 @@ let mirroring =
   pass ~name:"mirroring"
     ~doc:"replace near-identity 2Q gates by mirrored su4* + a wire swap"
     ~applies:(function Pass.Su4 _ -> true | _ -> false)
-    (fun ctx -> function
+    (fun _ctx -> function
       | Pass.Su4 c ->
-        let m = Mirroring.run ~r:ctx.Pass.mirror_threshold c in
+        let m = Mirroring.run ~r:Mirroring.default_threshold c in
         Pass.Mirrored
           {
             circuit = m.Mirroring.circuit;
@@ -150,33 +161,23 @@ let describe () = List.map (fun (p : Pass.t) -> (p.Pass.name, p.Pass.doc)) all
 
 type plan = { plan_name : string; passes : Pass.t list }
 
-let plan_of_mode = function
-  | Eff ->
-    { plan_name = "eff"; passes = [ lower_3q; template; phoenix_to_su4; mirroring ] }
-  | Full ->
-    {
-      plan_name = "full";
-      passes = [ lower_3q; template; phoenix_to_su4; hierarchical; mirroring ];
-    }
-  | Nc ->
-    {
-      plan_name = "nc";
-      passes = [ lower_3q; template; phoenix_to_su4; hierarchical_nc; mirroring ];
-    }
+(* the synthesis passes of each mode; the default plan ends in
+   mirroring, an ISA plan in the lowering tail instead *)
+let synth_passes = function
+  | Eff -> [ lower_3q; template; phoenix_to_su4 ]
+  | Full -> [ lower_3q; template; phoenix_to_su4; hierarchical ]
+  | Nc -> [ lower_3q; template; phoenix_to_su4; hierarchical_nc ]
+
+let plan_of_mode mode =
+  { plan_name = mode_name mode; passes = synth_passes mode @ [ mirroring ] }
 
 (* The default plan retargeted at a named ISA: mirroring is dropped (it
    leaves a wire permutation the Can form does not carry) and the tail
    becomes [to_can; lower_isa:<t>]. *)
 let plan_for_isa ?(mode = Eff) (t : Isa.target) =
-  let synth =
-    match mode with
-    | Eff -> [ lower_3q; template; phoenix_to_su4 ]
-    | Full -> [ lower_3q; template; phoenix_to_su4; hierarchical ]
-    | Nc -> [ lower_3q; template; phoenix_to_su4; hierarchical_nc ]
-  in
   {
-    plan_name = (plan_of_mode mode).plan_name ^ "+isa:" ^ t.Isa.name;
-    passes = synth @ [ to_can; lower_isa t ];
+    plan_name = mode_name mode ^ "+isa:" ^ t.Isa.name;
+    passes = synth_passes mode @ [ to_can; lower_isa t ];
   }
 
 (* Retarget an existing plan: append the lowering tail. [lower_isa] only
@@ -313,12 +314,25 @@ let output_of_ir ctx ir =
            detail = "plan produced no circuit (no pass applied to the source)";
          })
 
+(* The one mode -> plan -> ISA resolution: a custom plan overrides the
+   mode's default; an ISA name retargets whichever plan was selected (the
+   default plan swaps mirroring for the lowering tail, a custom plan gets
+   the tail appended); an unknown name is a typed error at stage
+   "compiler.isa". *)
+let resolve ?(mode = Eff) ?plan ?isa () =
+  match isa with
+  | None -> Ok (Option.value ~default:(plan_of_mode mode) plan)
+  | Some name -> (
+    match (Isa.find name, plan) with
+    | None, _ -> Error (Isa.unknown_error name)
+    | Some t, None -> Ok (plan_for_isa ~mode t)
+    | Some t, Some p -> Ok (with_isa p t))
+
 let pipeline_stage = "compiler.pipeline"
 
-let compile_plan_result ?(mirror_threshold = Mirroring.default_threshold)
-    ?start_from ?stop_after ~plan rng p =
+let compile_plan_result ?start_from ?stop_after plan rng p =
   Obs.Span.with_ ~stage:"compiler" ~name:"compile" @@ fun () ->
-  let ctx = Pass.make_ctx ~mirror_threshold rng in
+  let ctx = Pass.make_ctx rng in
   match run_plan ?start_from ?stop_after ctx plan (Pass.Source p) with
   | Error e -> Error e
   | Ok (ir, stats) -> (
@@ -328,17 +342,17 @@ let compile_plan_result ?(mirror_threshold = Mirroring.default_threshold)
       Robust.Counters.incr ~stage:pipeline_stage "ok";
       Ok (out, stats))
 
-let compile_plan ?mirror_threshold ?start_from ?stop_after ~plan rng p =
-  match compile_plan_result ?mirror_threshold ?start_from ?stop_after ~plan rng p with
-  | r -> r
-  | exception Failure msg ->
-    Robust.Counters.incr ~stage:pipeline_stage "failed";
-    Error (Robust.Err.Ill_conditioned { stage = pipeline_stage; detail = msg })
-  | exception Invalid_argument msg ->
-    Robust.Counters.incr ~stage:pipeline_stage "failed";
-    Error (Robust.Err.Ill_conditioned { stage = pipeline_stage; detail = msg })
+let compile_plan ?mode ?plan ?isa ?start_from ?stop_after rng p =
+  match resolve ?mode ?plan ?isa () with
+  | Error e -> Error e
+  | Ok plan -> (
+    match compile_plan_result ?start_from ?stop_after plan rng p with
+    | r -> r
+    | exception (Failure msg | Invalid_argument msg) ->
+      Robust.Counters.incr ~stage:pipeline_stage "failed";
+      Error (Robust.Err.Ill_conditioned { stage = pipeline_stage; detail = msg }))
 
-let compile_plan_exn ?mirror_threshold ~plan rng p =
-  match compile_plan_result ?mirror_threshold ~plan rng p with
+let compile_plan_exn ?(mode = Eff) rng p =
+  match compile_plan_result (plan_of_mode mode) rng p with
   | Ok r -> r
   | Error e -> failwith (Robust.Err.to_string e)

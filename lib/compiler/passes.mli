@@ -12,9 +12,22 @@ open Numerics
 
 type mode = Eff | Full | Nc
 
+(** Every mode, in [eff], [full], [nc] order. *)
+val modes : mode list
+
+(** [mode_name m] is the wire name of [m] (["eff"|"full"|"nc"]) — the
+    CLI's [--mode] value, the serve protocol's ["mode"] member and the
+    name of the mode's default plan. *)
+val mode_name : mode -> string
+
+(** [mode_of_name s] parses a wire name; anything else is an error
+    message naming the three. *)
+val mode_of_name : string -> (mode, string) result
+
+(** [mode_to_string m] is the display label (["ReQISC-Eff"], ...). *)
 val mode_to_string : mode -> string
 
-(** The compiled result (re-exported by {!Pipeline} for compatibility).
+(** The compiled result (re-exported by {!Reqisc} as [compiled]).
     Under the default plans [circuit] contains su4 + 1Q gates only; a
     custom plan ending in [to_can] yields the {Can, U3} form instead. *)
 type output = {
@@ -119,24 +132,27 @@ val run_plan :
     0]; a plan that never left [Source] is a typed error. *)
 val output_of_ir : Pass.ctx -> Pass.ir -> (output, Robust.Err.t) result
 
-(** [compile_plan ~plan rng p] — the full entry point: context creation,
-    plan run, finish; synthesis breakdowns surface as
-    [Error (Ill_conditioned _)] at stage ["compiler.pipeline"], exactly
-    like the historical [Pipeline.compile_r]. *)
+(** [compile_plan ?mode ?plan ?isa rng p] — the compile entry point:
+    plan resolution, context creation, plan run, finish.
+
+    The plan is [plan] when given, else the default plan of [mode]
+    (default [Eff]). An [isa] name ({!Isa.known_names}) retargets it:
+    the default plan becomes {!plan_for_isa}, a custom plan gets the
+    {!with_isa} tail; an unknown name is a typed error at stage
+    ["compiler.isa"] ({!Isa.unknown_error}). [start_from] / [stop_after]
+    slice the resolved plan as in {!run_plan}. Synthesis breakdowns
+    surface as [Error (Ill_conditioned _)] at stage
+    ["compiler.pipeline"]. *)
 val compile_plan :
-  ?mirror_threshold:float ->
+  ?mode:mode ->
+  ?plan:plan ->
+  ?isa:string ->
   ?start_from:string ->
   ?stop_after:string ->
-  plan:plan ->
   Rng.t ->
   Pass.program ->
   (output * pass_stat list, Robust.Err.t) result
 
-(** [compile_plan_exn] raises on failure (the historical
-    [Pipeline.compile] contract). *)
-val compile_plan_exn :
-  ?mirror_threshold:float ->
-  plan:plan ->
-  Rng.t ->
-  Pass.program ->
-  output * pass_stat list
+(** [compile_plan_exn ?mode rng p] runs the default plan of [mode]
+    (default [Eff]) and raises [Failure] on any error. *)
+val compile_plan_exn : ?mode:mode -> Rng.t -> Pass.program -> output * pass_stat list

@@ -1,30 +1,5 @@
-(* Thin compatibility wrapper over the nanopass plan runner: the
-   historical Eff/Full/Nc modes are the three named plans of {!Passes},
-   and compile/compile_r keep their exact rung-0 behaviour (same RNG
-   stream, same output, same error taxonomy). *)
-
 type program = Pass.program = Gates of Circuit.t | Pauli of Phoenix.program
-type mode = Passes.mode = Eff | Full | Nc
-
-type output = Passes.output = {
-  circuit : Circuit.t;
-  final_mapping : int array;
-  mirrored : int;
-  template_classes : int;
-}
-
-let mode_to_string = Passes.mode_to_string
-let program_width = function Gates c -> c.Circuit.n | Pauli p -> p.Phoenix.n
 
 let program_to_cnot_input = function
   | Gates c -> Decomp.lower_to_cx c
   | Pauli p -> Phoenix.to_cx_circuit p
-
-let compile ?(mode = Eff) ?mirror_threshold rng p =
-  fst
-    (Passes.compile_plan_exn ?mirror_threshold ~plan:(Passes.plan_of_mode mode)
-       rng p)
-
-let compile_r ?(mode = Eff) ?mirror_threshold rng p =
-  Result.map fst
-    (Passes.compile_plan ?mirror_threshold ~plan:(Passes.plan_of_mode mode) rng p)

@@ -1,50 +1,13 @@
-(** End-to-end ReQISC compilation (Section 5.4): program-aware template
-    synthesis, optional hierarchical synthesis, near-identity mirroring,
-    and (separately, see {!Routing}) mirroring-SABRE mapping.
+(** Source programs of the ReQISC compiler (Section 5.4).
 
-    Since the nanopass re-architecture this module is a thin wrapper:
-    the pipeline itself lives in {!Pass} (the IR and pass contract) and
-    {!Passes} (the registry, named plans, and the plan runner); the
-    [Eff]/[Full]/[Nc] modes here are exactly
-    [Passes.plan_of_mode] run over the source program. *)
+    Compilation itself is {!Passes.compile_plan}: the [Eff]/[Full]/[Nc]
+    modes are named plans over the pass registry of {!Passes}. This
+    module only names what the compiler consumes and the CNOT-based
+    reference form of it. *)
 
 (** Input programs: Type-I reversible networks (CCX/CX/1Q circuits) or
     Type-II Pauli-rotation programs. *)
 type program = Pass.program = Gates of Circuit.t | Pauli of Phoenix.program
-
-type mode = Passes.mode =
-  | Eff  (** template synthesis only: minimal calibration overhead *)
-  | Full  (** + hierarchical synthesis with DAG compacting *)
-  | Nc  (** Full without the compacting pass (ablation) *)
-
-type output = Passes.output = {
-  circuit : Circuit.t;  (** su4 + 1Q gates only *)
-  final_mapping : int array;  (** wire permutation left by gate mirroring *)
-  mirrored : int;  (** near-identity gates resolved by mirroring *)
-  template_classes : int;  (** distinct 3Q IRs synthesized *)
-}
-
-val mode_to_string : mode -> string
-
-(** [compile rng ~mode p] runs the default plan of [mode]. [mirror_threshold]
-    is the near-identity radius (default {!Mirroring.default_threshold}). *)
-val compile :
-  ?mode:mode -> ?mirror_threshold:float -> Numerics.Rng.t -> program -> output
-
-(** [compile_r rng ~mode p] is {!compile} with typed errors: synthesis
-    breakdowns surface as [Error (Ill_conditioned _)] instead of raising.
-    Inside the plan the hierarchical pass already degrades to the exact
-    template stage on failure (counter ["compiler.pipeline"/
-    "hier_fallback"]), so [Error] here means even exact synthesis broke. *)
-val compile_r :
-  ?mode:mode ->
-  ?mirror_threshold:float ->
-  Numerics.Rng.t ->
-  program ->
-  (output, Robust.Err.t) result
-
-(** [program_width p]. *)
-val program_width : program -> int
 
 (** [program_to_cnot_input p] is the CNOT-based form of the program (what
     the baselines consume, and the reference for Table 1/2 metrics). *)

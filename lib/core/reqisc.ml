@@ -1,58 +1,25 @@
 open Numerics
 
-type mode = Compiler.Pipeline.mode = Eff | Full | Nc
+type mode = Compiler.Passes.mode = Eff | Full | Nc
 
-type compiled = Compiler.Pipeline.output = {
+type compiled = Compiler.Passes.output = {
   circuit : Circuit.t;
   final_mapping : int array;
   mirrored : int;
   template_classes : int;
 }
 
-module Plan = struct
-  type t = Compiler.Passes.plan
-
-  let default mode = Compiler.Passes.plan_of_mode mode
-  let of_names ?name names = Compiler.Passes.of_names ?name names
-  let known_names = Compiler.Passes.known_names
-  let describe = Compiler.Passes.describe
-  let name (p : t) = p.Compiler.Passes.plan_name
-
-  let pass_names (p : t) =
-    List.map (fun (ps : Compiler.Pass.t) -> ps.Compiler.Pass.name) p.Compiler.Passes.passes
-end
-
-(* Resolve the effective plan from mode / custom plan / target ISA: an
-   ISA name builds (or extends) the plan with the [to_can; lower_isa]
-   tail; an unknown name is a typed error at stage "compiler.isa". *)
-let resolve_plan ~mode ~plan ~isa =
-  match isa with
-  | None -> Ok (Option.value ~default:(Plan.default mode) plan)
-  | Some name -> (
-    match Isa.find name with
-    | None -> Error (Isa.unknown_error name)
-    | Some t ->
-      Ok
-        (match plan with
-        | None -> Compiler.Passes.plan_for_isa ~mode t
-        | Some p -> Compiler.Passes.with_isa p t))
-
-let compile_program ?(mode = Eff) ?plan ?isa rng p =
-  match resolve_plan ~mode ~plan ~isa with
-  | Error e -> Error e
-  | Ok plan -> Result.map fst (Compiler.Passes.compile_plan ~plan rng p)
-
 let compile ?mode ?plan ?isa rng c =
-  compile_program ?mode ?plan ?isa rng (Compiler.Pipeline.Gates c)
+  Result.map fst (Compiler.Passes.compile_plan ?mode ?plan ?isa rng (Compiler.Pass.Gates c))
 
-let compile_exn ?(mode = Eff) rng c =
-  Compiler.Pipeline.compile ~mode rng (Compiler.Pipeline.Gates c)
+let compile_exn ?mode rng c =
+  fst (Compiler.Passes.compile_plan_exn ?mode rng (Compiler.Pass.Gates c))
 
 let compile_pauli ?mode ?plan ?isa rng p =
-  compile_program ?mode ?plan ?isa rng (Compiler.Pipeline.Pauli p)
+  Result.map fst (Compiler.Passes.compile_plan ?mode ?plan ?isa rng (Compiler.Pass.Pauli p))
 
-let compile_pauli_exn ?(mode = Eff) rng p =
-  Compiler.Pipeline.compile ~mode rng (Compiler.Pipeline.Pauli p)
+let compile_pauli_exn ?mode rng p =
+  fst (Compiler.Passes.compile_plan_exn ?mode rng (Compiler.Pass.Pauli p))
 
 let route_exn ?(mirror = true) rng topology c =
   Compiler.Routing.route ~mirror rng topology c
@@ -116,8 +83,7 @@ let pulses ?budget ?plan ?(seed = 1L) coupling (c : Circuit.t) =
          actually execute, not for the raw input *)
       Result.map
         (fun ((o : compiled), _) -> o.circuit)
-        (Compiler.Passes.compile_plan ~plan (Rng.create seed)
-           (Compiler.Pipeline.Gates c))
+        (Compiler.Passes.compile_plan ~plan (Rng.create seed) (Compiler.Pass.Gates c))
   in
   match through_plan with
   | Error e -> Error e

@@ -16,51 +16,29 @@ open Numerics
 
 (** {1 Compilation} *)
 
-type mode = Compiler.Pipeline.mode = Eff | Full | Nc
+type mode = Compiler.Passes.mode = Eff | Full | Nc
 
-type compiled = Compiler.Pipeline.output = {
+type compiled = Compiler.Passes.output = {
   circuit : Circuit.t;
   final_mapping : int array;
   mirrored : int;
   template_classes : int;
 }
 
-(** Named compilation plans over the nanopass registry
-    ({!Compiler.Passes}). A plan is an ordered list of passes; the
-    historical [Eff]/[Full]/[Nc] modes are the three defaults, and
-    custom plans are built from pass names. *)
-module Plan : sig
-  type t = Compiler.Passes.plan
-
-  (** [default mode] — the plan {!compile} runs when no [?plan] is given. *)
-  val default : mode -> t
-
-  (** [of_names names] builds a custom plan; an unknown name is a typed
-      error naming every known pass. *)
-  val of_names : ?name:string -> string list -> (t, Robust.Err.t) result
-
-  (** Every registered pass name, in canonical pipeline order. *)
-  val known_names : string list
-
-  (** [(name, doc)] for every registered pass. *)
-  val describe : unit -> (string * string) list
-
-  val name : t -> string
-  val pass_names : t -> string list
-end
-
 (** [compile rng ~mode circuit] compiles a Type-I (CCX/CX/1Q) circuit to the
-    SU(4) ISA. Numerical breakdown inside the pipeline surfaces as a typed
-    [Error], never an exception. [?plan] overrides the default plan of
-    [mode] (when given, [mode] is ignored). [?isa] names a target
-    instruction set ({!Isa.known_names}): the plan gains the
+    SU(4) ISA through {!Compiler.Passes.compile_plan}. Numerical breakdown
+    inside the pipeline surfaces as a typed [Error], never an exception.
+    [?plan] (a {!Compiler.Passes} plan, e.g. from
+    {!Compiler.Passes.of_names}) overrides the default plan of [mode]
+    (when given, [mode] is ignored). [?isa] names a target instruction
+    set ({!Isa.known_names}): the plan gains the
     [to_can; lower_isa:<name>] tail (replacing mirroring under the
     default plans), so [circuit] lands in that target's native 2Q gates
     plus exact 1Q corrections; an unknown name is a typed error at stage
     ["compiler.isa"]. *)
 val compile :
   ?mode:mode ->
-  ?plan:Plan.t ->
+  ?plan:Compiler.Passes.plan ->
   ?isa:string ->
   Rng.t ->
   Circuit.t ->
@@ -73,7 +51,7 @@ val compile_exn : ?mode:mode -> Rng.t -> Circuit.t -> compiled
     ([?isa] as in {!compile}). *)
 val compile_pauli :
   ?mode:mode ->
-  ?plan:Plan.t ->
+  ?plan:Compiler.Passes.plan ->
   ?isa:string ->
   Rng.t ->
   Compiler.Phoenix.program ->
@@ -127,7 +105,7 @@ val pulse_outcomes :
     default [1L]) and the pulses are for the plan's output circuit. *)
 val pulses :
   ?budget:Robust.Budget.t ->
-  ?plan:Plan.t ->
+  ?plan:Compiler.Passes.plan ->
   ?seed:int64 ->
   Microarch.Coupling.t ->
   Circuit.t ->

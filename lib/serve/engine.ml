@@ -223,35 +223,21 @@ let pass_stat_json (s : Compiler.Passes.pass_stat) =
       ("wall_ms", Json.Num (s.wall_s *. 1e3));
     ]
 
-(* Validate the request's raw "isa" member against the target registry.
-   Both failure shapes the protocol documents — a non-string value and an
-   unknown name — surface as bad_request at the compiler's stage. *)
-let isa_of_json = function
+(* The request's raw "isa" member must be a string; the name itself is
+   checked by the compiler's plan resolver. Both failure shapes the
+   protocol documents — a non-string value and an unknown name — surface
+   as bad_request at the compiler's stage. *)
+let isa_error msg = Protocol.error_item ~kind:"bad_request" ~stage:Isa.stage msg
+
+let isa_name_of_json = function
   | None -> Ok None
   | Some v -> (
     match Json.str v with
+    | Some name -> Ok (Some name)
     | None ->
       Error
         (Printf.sprintf "isa must be a string naming a target ISA (known targets: %s)"
-           (String.concat ", " Isa.known_names))
-    | Some name -> (
-      match Isa.find name with
-      | Some t -> Ok (Some t)
-      | None ->
-        Error
-          (Printf.sprintf "unknown isa %S (known targets: %s)" name
-             (String.concat ", " Isa.known_names))))
-
-(* metrics under the target's own cost model: the lowered circuit's 2Q
-   count / depth, with durations charged per the ISA (fixed basis-gate
-   tau, or cycle-quantized slots for eqasm) *)
-let isa_report (target : Isa.target) c =
-  {
-    Compiler.Metrics.count_2q = Circuit.count_2q c;
-    depth_2q = Circuit.depth_2q c;
-    duration = Isa.duration target c;
-    distinct_2q = Circuit.distinct_2q c;
-  }
+           (String.concat ", " Isa.known_names)))
 
 let exec_compile t ~budget ~bench ~mode ~pulses ~passes ~isa =
   match
@@ -261,65 +247,48 @@ let exec_compile t ~budget ~bench ~mode ~pulses ~passes ~isa =
     Protocol.error_item ~kind:"bad_request" ~stage:"serve.compile"
       (Printf.sprintf "unknown benchmark %S" bench)
   | Some b -> (
-    match isa_of_json isa with
-    | Error msg -> Protocol.error_item ~kind:"bad_request" ~stage:Isa.stage msg
-    | Ok target -> (
-    let mode_v =
-      match mode with
-      | "full" -> Compiler.Pipeline.Full
-      | "nc" -> Compiler.Pipeline.Nc
-      | _ -> Compiler.Pipeline.Eff
-    in
     let plan =
       match passes with
-      | None -> Ok (Compiler.Passes.plan_of_mode mode_v)
-      | Some names -> plan_of_passes names
+      | None -> Ok None
+      | Some names -> Result.map Option.some (plan_of_passes names)
     in
-    (* the isa retargets whichever plan was selected: the default mode
-       plan swaps mirroring for the lowering tail; a custom plan gets
-       the tail appended *)
-    let plan =
-      match (plan, target) with
-      | Error _, _ | _, None -> plan
-      | Ok _, Some tgt when passes = None ->
-        Ok (Compiler.Passes.plan_for_isa ~mode:mode_v tgt)
-      | Ok p, Some tgt -> Ok (Compiler.Passes.with_isa p tgt)
-    in
-    match plan with
-    | Error e -> Protocol.err_item e
-    | Ok plan ->
+    match (isa_name_of_json isa, plan) with
+    | Error msg, _ -> isa_error msg
+    | _, Error e -> Protocol.err_item e
+    | Ok isa, Ok plan -> (
     let rng = Numerics.Rng.create t.seed in
-    match Compiler.Passes.compile_plan ~plan rng b.program with
+    match Compiler.Passes.compile_plan ~mode ?plan ?isa rng b.program with
+    | Error (Robust.Err.Ill_conditioned { stage; detail }) when stage = Isa.stage ->
+      isa_error detail
     | Error e -> Protocol.err_item e
     | Ok (out, stats) ->
       let input = Compiler.Pipeline.program_to_cnot_input b.program in
       let base = Compiler.Metrics.report Compiler.Metrics.Cnot_isa input in
       let opt =
-        match target with
-        | Some tgt -> isa_report tgt out.Compiler.Pipeline.circuit
-        | None ->
-          Compiler.Metrics.report (Compiler.Metrics.Su4_isa xy)
-            out.Compiler.Pipeline.circuit
+        Compiler.Metrics.report
+          (match Option.bind isa Isa.find with
+          | Some tgt -> Compiler.Metrics.Target tgt
+          | None -> Compiler.Metrics.Su4_isa xy)
+          out.circuit
       in
       let fields =
         [
           ("bench", Json.Str b.name);
           ("category", Json.Str b.category);
           ("qubits", Json.Num (float_of_int input.Circuit.n));
-          ("mode", Json.Str mode);
+          ("mode", Json.Str (Compiler.Passes.mode_name mode));
           ("input", report_json base);
           ("compiled", report_json opt);
-          ("mirrored", Json.Num (float_of_int out.Compiler.Pipeline.mirrored));
-          ( "template_classes",
-            Json.Num (float_of_int out.Compiler.Pipeline.template_classes) );
+          ("mirrored", Json.Num (float_of_int out.mirrored));
+          ("template_classes", Json.Num (float_of_int out.template_classes));
         ]
       in
       (* the isa field rides along only when requested, so default
          responses are byte-identical to before *)
       let fields =
-        match target with
+        match isa with
         | None -> fields
-        | Some tgt -> fields @ [ ("isa", Json.Str tgt.Isa.name) ]
+        | Some name -> fields @ [ ("isa", Json.Str name) ]
       in
       (* per-pass metrics ride along only when a custom plan was asked
          for, so default responses are byte-identical to before *)
@@ -333,7 +302,7 @@ let exec_compile t ~budget ~bench ~mode ~pulses ~passes ~isa =
         else begin
           (* per-gate verdicts: a failing gate degrades the report, not
              the request *)
-          let outcomes = Reqisc.pulse_outcomes ?budget xy out.Compiler.Pipeline.circuit in
+          let outcomes = Reqisc.pulse_outcomes ?budget xy out.circuit in
           let count k =
             List.length
               (List.filter

@@ -4,7 +4,7 @@ type target = Gate of string | Coords of float * float * float
 type op =
   | Compile of {
       bench : string;
-      mode : string;
+      mode : Compiler.Passes.mode;
       pulses : bool;
       passes : string list option;
       isa : Json.t option;
@@ -127,7 +127,6 @@ let rec parse_body ?(depth = 0) json =
       match Json.mem_str "bench" json with
       | None -> Error "compile needs a bench name"
       | Some bench -> (
-        let mode = Option.value ~default:"eff" (Json.mem_str "mode" json) in
         let pulses = Option.value ~default:false (Json.mem_bool "pulses" json) in
         let* passes = parse_passes json in
         (* the isa member rides along verbatim: the engine validates it,
@@ -138,9 +137,11 @@ let rec parse_body ?(depth = 0) json =
           | None | Some Json.Null -> None
           | Some v -> Some v
         in
-        match mode with
-        | "eff" | "full" | "nc" -> Ok (Compile { bench; mode; pulses; passes; isa })
-        | m -> Error (Printf.sprintf "unknown mode %S (expected eff|full|nc)" m)))
+        let* mode =
+          Option.fold ~none:(Ok Compiler.Passes.Eff) ~some:Compiler.Passes.mode_of_name
+            (Json.mem_str "mode" json)
+        in
+        Ok (Compile { bench; mode; pulses; passes; isa })))
     | Some "pulses" -> (
       let* target = parse_target json in
       let* passes = parse_passes json in
@@ -234,7 +235,9 @@ let body_key (b : body) =
       (F.key
          (budget
             (with_isa
-               (with_passes (F.bool (F.str (F.str fp bench) mode) pulses) passes)
+               (with_passes
+                  (F.bool (F.str (F.str fp bench) (Compiler.Passes.mode_name mode)) pulses)
+                  passes)
                isa)))
 
 let max_line_bytes = 1 lsl 20

@@ -47,7 +47,7 @@ type target = Gate of string | Coords of float * float * float
 type op =
   | Compile of {
       bench : string;
-      mode : string;
+      mode : Compiler.Passes.mode;
       pulses : bool;
       passes : string list option;
       isa : Json.t option;

@@ -110,6 +110,10 @@ type conn = {
   mutable fd_closed : bool;
   mutable pending : int;  (* jobs submitted, responses not yet enqueued *)
   mutable want_close : bool;  (* no more requests will arrive *)
+  mutable last_word : (bool * string) option;
+      (* a rendered terminal error (and whether a fault dropped it), held
+         and still counted in [pending] until every earlier request has
+         answered, so it is the last response on the wire *)
 }
 
 type state = {
@@ -250,7 +254,36 @@ let corrupt_frame c data =
   Obs.Metric.incr ~stage "fault_frame_corrupt";
   Bytes.to_string b
 
-let conn_respond st c json =
+(* queue one response's bytes under [c.wlock]; true when the event loop
+   must be woken *)
+let put_locked st c dropped data =
+  c.pending <- c.pending - 1;
+  if c.fd_closed || not c.writable then false
+  else if dropped then
+    (* the frame vanishes, but responses parked for batching must still
+       flush when this was the burst's last pending response *)
+    if c.pending > 0 && Buffer.length c.wbuf < batch_bytes then false
+    else flush_locked c
+  else if queued_bytes_locked c + String.length data > st.config.max_write_buffer
+  then begin
+    c.writable <- false;
+    c.want_close <- true;
+    Buffer.clear c.wbuf;
+    c.sending <- "";
+    c.sent_off <- 0;
+    Obs.Metric.incr ~stage "write_overflow";
+    true
+  end
+  else begin
+    Buffer.add_string c.wbuf data;
+    if c.pending > 0 && Buffer.length c.wbuf < batch_bytes then false
+    else flush_locked c
+  end
+
+(* [~last:true] marks a terminal error: the engine answers it like any
+   request, but its bytes wait in [last_word] until the requests read
+   before it have answered *)
+let conn_respond ?(last = false) st c json =
   let data = render c json in
   (* transport fault sites fire between render and enqueue: the engine
      has done its work and accounting; only the wire delivery is harmed *)
@@ -264,29 +297,19 @@ let conn_respond st c json =
     else (false, data)
   in
   Mutex.lock c.wlock;
-  c.pending <- c.pending - 1;
   let need_wake =
-    if c.fd_closed || not c.writable then false
-    else if dropped then
-      (* the frame vanishes, but responses parked for batching must still
-         flush when this was the burst's last pending response *)
-      if c.pending > 0 && Buffer.length c.wbuf < batch_bytes then false
-      else flush_locked c
-    else if queued_bytes_locked c + String.length data > st.config.max_write_buffer
-    then begin
-      c.writable <- false;
-      c.want_close <- true;
-      Buffer.clear c.wbuf;
-      c.sending <- "";
-      c.sent_off <- 0;
-      Obs.Metric.incr ~stage "write_overflow";
-      true
+    if last && c.pending > 1 then begin
+      c.last_word <- Some (dropped, data);
+      false
     end
-    else begin
-      Buffer.add_string c.wbuf data;
-      if c.pending > 0 && Buffer.length c.wbuf < batch_bytes then false
-      else flush_locked c
-    end
+    else
+      let w = put_locked st c dropped data in
+      match c.last_word with
+      | Some (dropped, data) when c.pending = 1 ->
+        c.last_word <- None;
+        let w' = put_locked st c dropped data in
+        w || w'
+      | _ -> w
   in
   Mutex.unlock c.wlock;
   if need_wake then wake st
@@ -298,7 +321,7 @@ let conn_respond st c json =
    read-only ops ([stats], [shutdown]) and parse errors always pass:
    refusing those would blind operators exactly when the server is
    busiest. *)
-let submit_conn st c ~raw parsed =
+let submit_conn ?last st c ~raw parsed =
   let shed =
     st.config.max_queue_depth > 0
     && (match parsed.Protocol.body with
@@ -312,14 +335,14 @@ let submit_conn st c ~raw parsed =
   if shed then begin
     Obs.Metric.incr ~stage "shed";
     Robust.Counters.incr ~stage "shed";
-    conn_respond st c
+    conn_respond ?last st c
       (Protocol.error_response ~id:parsed.Protocol.id ~kind:"overloaded"
          ~stage:"serve.admission"
          (Printf.sprintf
             "queue depth at capacity (%d); request shed before execution"
             st.config.max_queue_depth))
   end
-  else st.backend.submit ~raw parsed ~respond:(conn_respond st c)
+  else st.backend.submit ~raw parsed ~respond:(conn_respond ?last st c)
 
 (* ------------------------------------------------------ frame scanning *)
 
@@ -420,7 +443,7 @@ let feed_binary st c s =
           match Frame.decode_header hdr 0 with
           | Error msg ->
             Obs.Metric.incr ~stage "frame_desync";
-            submit_conn st c ~raw:""
+            submit_conn ~last:true st c ~raw:""
               {
                 Protocol.id = Json.Null;
                 body = Error (Printf.sprintf "binary frame desync: %s" msg);
@@ -581,6 +604,7 @@ let admit st fd =
       fd_closed = false;
       pending = 0;
       want_close = false;
+      last_word = None;
     }
   in
   st.conns <- c :: st.conns;

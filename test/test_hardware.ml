@@ -64,11 +64,8 @@ let test_su4_to_can () =
   done
 
 let test_to_can_isa_circuit () =
-  let out =
-    Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Eff (Rng.create 3L)
-      (Compiler.Pipeline.Gates (Benchmarks.Generators.tof 4))
-  in
-  let su4_c = out.Compiler.Pipeline.circuit in
+  let out = Reqisc.compile_exn ~mode:Eff (Rng.create 3L) (Benchmarks.Generators.tof 4) in
+  let su4_c = out.Compiler.Passes.circuit in
   let can_c = Decomp.to_can_isa su4_c in
   check_phase ~tol:1e-6 "isa emission preserves" (Circuit.unitary su4_c)
     (Circuit.unitary can_c);

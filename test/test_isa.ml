@@ -252,10 +252,67 @@ let test_serve_paths () =
       ("unknown name", "{\"v\":1,\"id\":2,\"op\":\"compile\",\"bench\":\"alu_1\",\"isa\":\"bogus\"}");
       ("non-string", "{\"v\":1,\"id\":3,\"op\":\"compile\",\"bench\":\"alu_1\",\"isa\":42}");
     ];
+  (* an unknown pass is rejected when the request is parsed, before the
+     isa member is looked at *)
+  let both =
+    run "{\"v\":1,\"id\":5,\"op\":\"compile\",\"bench\":\"alu_1\",\"isa\":\"bogus\",\"passes\":[\"wat\"]}"
+  in
+  Alcotest.(check bool) "bad passes and isa typed at parse" true
+    (contains_sub both "bad_request" && contains_sub both "serve.protocol"
+    && contains_sub both "unknown pass wat");
   (* legacy requests still carry no isa field at all *)
   let legacy = run "{\"v\":1,\"id\":4,\"op\":\"compile\",\"bench\":\"alu_1\"}" in
   Alcotest.(check bool) "legacy response has no isa member" false
     (contains_sub legacy "\"isa\"");
+  Serve.Engine.drain eng
+
+(* serve and the facade compile through the same front door: for every
+   target the serve response's "compiled" block is Metrics.report under
+   that target of what Reqisc.compile ~isa returns (and Su4_isa xy with
+   no isa), at the engine's seed *)
+let test_serve_facade_parity () =
+  let eng = Serve.Engine.create ~workers:1 ~seed:7L () in
+  let bench =
+    List.find (fun (b : Benchmarks.Suite.bench) -> b.name = "alu_1") (Benchmarks.Suite.suite ())
+  in
+  let circuit =
+    match bench.program with
+    | Pass.Gates c -> c
+    | Pass.Pauli _ -> Alcotest.fail "alu_1 is a gate program"
+  in
+  let served isa_member =
+    let line =
+      Printf.sprintf "{\"v\":1,\"id\":1,\"op\":\"compile\",\"bench\":\"alu_1\"%s}"
+        isa_member
+    in
+    let resp = Serve.Engine.exec_once eng (Serve.Protocol.parse_line line) in
+    match Option.bind (Serve.Json.member "result" resp) (Serve.Json.member "compiled") with
+    | Some j -> j
+    | None -> Alcotest.failf "no compiled block in %s" (Serve.Json.to_string resp)
+  in
+  let facade ?isa () =
+    match Reqisc.compile ~mode:Reqisc.Eff ?isa (Rng.create 7L) circuit with
+    | Ok out -> out.Reqisc.circuit
+    | Error e -> Alcotest.failf "facade: %s" (Robust.Err.to_string e)
+  in
+  let check what (r : Metrics.report) j =
+    let num k =
+      match Serve.Json.mem_num k j with
+      | Some v -> v
+      | None -> Alcotest.failf "%s: missing %s" what k
+    in
+    Alcotest.(check int) (what ^ " count_2q") r.count_2q (int_of_float (num "count_2q"));
+    Alcotest.(check int) (what ^ " depth_2q") r.depth_2q (int_of_float (num "depth_2q"));
+    Alcotest.(check (float 0.0)) (what ^ " duration") r.duration (num "duration");
+    Alcotest.(check int) (what ^ " distinct_2q") r.distinct_2q (int_of_float (num "distinct_2q"))
+  in
+  check "no isa" (Metrics.report (Metrics.Su4_isa Reqisc.xy_coupling) (facade ())) (served "");
+  List.iter
+    (fun (t : Isa.target) ->
+      check t.Isa.name
+        (Metrics.report (Metrics.Target t) (facade ~isa:t.Isa.name ()))
+        (served (Printf.sprintf ",\"isa\":%S" t.Isa.name)))
+    Isa.targets;
   Serve.Engine.drain eng
 
 let () =
@@ -276,5 +333,7 @@ let () =
         [
           Alcotest.test_case "fingerprint isa/passes disjoint" `Quick test_fingerprint;
           Alcotest.test_case "negative paths typed" `Quick test_serve_paths;
+          Alcotest.test_case "engine matches facade per target" `Slow
+            test_serve_facade_parity;
         ] );
     ]

@@ -214,23 +214,84 @@ let test_slicing () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "of_names accepted an unknown pass"
 
-(* default plans must reproduce the historical fused pipeline exactly *)
+(* a mode resolves to exactly its default plan: same RNG stream, same
+   circuit, same mapping *)
 let test_plan_matches_pipeline () =
   List.iter
-    (fun (mode, pmode) ->
-      let out_plan =
-        fst
-          (Passes.compile_plan_exn ~plan:(Passes.plan_of_mode mode)
-             (Rng.create 7L) (Pass.Gates toffoli_chain))
+    (fun mode ->
+      let run ?mode ?plan () =
+        match Passes.compile_plan ?mode ?plan (Rng.create 7L) (Pass.Gates toffoli_chain) with
+        | Ok (out, _) -> out
+        | Error e -> Alcotest.fail (Robust.Err.to_string e)
       in
-      let out_pipe = Pipeline.compile ~mode:pmode (Rng.create 7L) (Pipeline.Gates toffoli_chain) in
+      let out_plan = run ~plan:(Passes.plan_of_mode mode) () in
+      let out_mode = run ~mode () in
       Alcotest.(check int)
         "same 2q count"
-        (Circuit.count_2q out_pipe.Pipeline.circuit)
+        (Circuit.count_2q out_mode.Passes.circuit)
         (Circuit.count_2q out_plan.Passes.circuit);
       Alcotest.(check (array int))
-        "same mapping" out_pipe.Pipeline.final_mapping out_plan.Passes.final_mapping)
-    [ (Passes.Eff, Pipeline.Eff); (Passes.Full, Pipeline.Full) ]
+        "same mapping" out_mode.Passes.final_mapping out_plan.Passes.final_mapping)
+    [ Passes.Eff; Passes.Full ]
+
+(* the one plan resolver behind compile_plan: passes + isa appends the
+   lowering tail to the custom plan, a bare isa retargets the mode's
+   default plan, and naming errors keep their stages *)
+let test_resolver () =
+  let custom =
+    match Passes.of_names [ "lower_3q"; "template" ] with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "of_names: %s" (Robust.Err.to_string e)
+  in
+  let cnot = match Isa.find "cnot" with Some t -> t | None -> assert false in
+  let run ?mode ?plan ?isa () =
+    match Passes.compile_plan ?mode ?plan ?isa (Rng.create seed) (Pass.Gates toffoli_chain) with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "compile_plan: %s" (Robust.Err.to_string e)
+  in
+  let pass_names (p : Passes.plan) = List.map (fun (ps : Pass.t) -> ps.Pass.name) p.passes in
+  let ran stats = List.map (fun (s : Passes.pass_stat) -> s.Passes.pass) stats in
+  let same what (plan : Passes.plan) (out, stats) =
+    let out', _ = run ~plan () in
+    Alcotest.(check (list string)) (what ^ ": plan") (pass_names plan) (ran stats);
+    Alcotest.(check string)
+      (what ^ ": circuit")
+      (Circuit.to_string out'.Passes.circuit)
+      (Circuit.to_string out.Passes.circuit)
+  in
+  same "passes + isa" (Passes.with_isa custom cnot) (run ~plan:custom ~isa:"cnot" ());
+  same "mode + isa" (Passes.plan_for_isa ~mode:Passes.Eff cnot) (run ~mode:Passes.Eff ~isa:"cnot" ());
+  let stage_of what = function
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error e -> Robust.Err.stage e
+  in
+  let compile ?plan ?isa ?start_from () =
+    Passes.compile_plan ?plan ?isa ?start_from (Rng.create seed) (Pass.Gates toffoli_chain)
+  in
+  Alcotest.(check string) "unknown pass" "compiler.plan"
+    (stage_of "an unknown pass" (Passes.of_names [ "lower_3q"; "wat" ]));
+  Alcotest.(check string) "pass outside the plan" "compiler.plan"
+    (stage_of "a foreign start_from" (compile ~plan:custom ~start_from:"mirroring" ()));
+  Alcotest.(check string) "unknown isa" "compiler.isa"
+    (stage_of "an unknown isa" (compile ~isa:"bogus" ()));
+  Alcotest.(check string) "unknown isa on a custom plan" "compiler.isa"
+    (stage_of "an unknown isa" (compile ~plan:custom ~isa:"bogus" ()))
+
+(* the mode wire names round-trip and name the plans; anything else is an
+   error listing all three *)
+let test_mode_names () =
+  List.iter
+    (fun m ->
+      let name = Passes.mode_name m in
+      Alcotest.(check bool) (name ^ " round-trips") true (Passes.mode_of_name name = Ok m);
+      Alcotest.(check string) (name ^ " names its plan") name (Passes.plan_of_mode m).plan_name)
+    Passes.modes;
+  Alcotest.(check (list string)) "wire names" [ "eff"; "full"; "nc" ]
+    (List.map Passes.mode_name Passes.modes);
+  match Passes.mode_of_name "Eff" with
+  | Ok _ -> Alcotest.fail "mode names are case-sensitive"
+  | Error msg ->
+    Alcotest.(check string) "error lists the names" "unknown mode \"Eff\" (expected eff|full|nc)" msg
 
 let props =
   let arb_seed = QCheck.make QCheck.Gen.(map Int64.of_int (int_bound 1000000)) in
@@ -276,6 +337,8 @@ let () =
           Alcotest.test_case "slicing and strict names" `Quick test_slicing;
           Alcotest.test_case "default plans match pipeline" `Slow
             test_plan_matches_pipeline;
+          Alcotest.test_case "resolver retargets and types errors" `Slow test_resolver;
+          Alcotest.test_case "mode wire names" `Quick test_mode_names;
         ] );
       ("props", List.map (QCheck_alcotest.to_alcotest ~long:false) props);
     ]

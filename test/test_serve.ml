@@ -229,7 +229,7 @@ let test_protocol_parse_ok () =
   (match parse_body "{\"v\":1,\"op\":\"compile\",\"bench\":\"alu_2\",\"mode\":\"full\",\"pulses\":true}" with
   | Ok { Serve.Protocol.op = Serve.Protocol.Compile { bench; mode; pulses; _ }; budget; _ } ->
     Alcotest.(check string) "bench" "alu_2" bench;
-    Alcotest.(check string) "mode" "full" mode;
+    Alcotest.(check string) "mode" "full" (Compiler.Passes.mode_name mode);
     Alcotest.(check bool) "pulses" true pulses;
     Alcotest.(check bool) "no budget" true (budget = None)
   | _ -> Alcotest.fail "compile body");

@@ -419,6 +419,30 @@ let test_binary_desync () =
   in
   Alcotest.(check int) "the desync is counted" 1 summary.T.errors
 
+let test_binary_desync_after_shutdown () =
+  (* a desync read after a shutdown frame on the same connection must
+     still be answered: the drain starts before the earlier requests have
+     answered, and the held error has to survive it *)
+  let summary, () =
+    with_server (temp_unix_addr ()) (fun addr ->
+        let fd = raw_unix_connect addr in
+        write_all fd
+          (Serve.Frame.encode "{\"v\":1,\"id\":1,\"op\":\"stats\"}"
+          ^ Serve.Frame.encode "{\"v\":1,\"id\":2,\"op\":\"shutdown\"}"
+          ^ "XXXXXXXX");
+        (match decode_frames (read_to_eof fd) 0 [] with
+        | [ first; second; third ] ->
+          (* the two requests run on separate workers, in either order *)
+          let answered id = contains first id || contains second id in
+          Alcotest.(check bool) "stats answered" true (answered "\"id\":1");
+          Alcotest.(check bool) "shutdown answered" true (answered "\"id\":2");
+          Alcotest.(check bool) "desync answered last" true
+            (contains third "\"ok\":false" && contains third "desync")
+        | frames -> Alcotest.failf "expected 3 response frames, got %d" (List.length frames));
+        Unix.close fd)
+  in
+  Alcotest.(check int) "the desync is counted" 1 summary.T.errors
+
 let test_mixed_frame_clients () =
   (* one JSON-lines client and one binary client interleaved on the same
      server: negotiation is per connection, so neither leaks into the
@@ -644,6 +668,7 @@ let () =
           Alcotest.test_case "happy path" `Quick test_binary_happy_path;
           Alcotest.test_case "oversize frame" `Quick test_binary_oversize_frame;
           Alcotest.test_case "desync" `Quick test_binary_desync;
+          Alcotest.test_case "desync after shutdown" `Quick test_binary_desync_after_shutdown;
           Alcotest.test_case "mixed clients" `Quick test_mixed_frame_clients;
         ] );
       ( "lifecycle",
