@@ -6,8 +6,9 @@
    this first cross-checks that the SoA kernel agrees with the boxed seed
    implementation ([Numerics.Boxed]), then times both. A disagreement is a
    hard error (exit 1). Also times the domain-parallel Haar sweep against
-   its 1-domain run and a small table2-style end-to-end compilation pass,
-   and writes everything as JSON (default: BENCH_numerics.json in the
+   its 1-domain run, a cold synthesis of the CCX block (wall time and
+   minor-heap words per sweep) and a small table2-style end-to-end
+   compilation pass, and writes everything as JSON (default: BENCH_numerics.json in the
    current directory). [--smoke] shrinks sizes and repetitions so the run
    fits in a test target. *)
 
@@ -132,6 +133,28 @@ let bench_apply_gate ~min_time rng ~nq n =
           State.apply_gate_arr ~n:nq st g);
   }
 
+(* A cold [Synth.min_su4] on the CCX block, the template pass's inner
+   loop: a fresh RNG per run, so every run does the same sweeps. The sweep
+   count comes from the [compiler.synth/sweeps] metric, read while a
+   histogram sink is installed for one counting run. *)
+type synth_row = { sweeps : int; run_s : float; words : float }
+
+let bench_synth ~min_time =
+  let run () =
+    ignore
+      (Compiler.Synth.min_su4 ~tol:1e-9 (Rng.create 42L) ~n:3 ~target:Quantum.Gates.ccx
+         ~max_gates:8)
+  in
+  Obs.Sink.install Obs.Hist.sink;
+  Obs.Metric.reset ();
+  let w0 = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. w0 in
+  let sweeps = Obs.Metric.get ~stage:"compiler.synth" "sweeps" in
+  Obs.Sink.uninstall ();
+  Obs.Metric.reset ();
+  { sweeps; run_s = time ~min_time run; words }
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let smoke = List.mem "--smoke" args in
@@ -175,6 +198,10 @@ let () =
   let par_s = time ~min_time (fun () -> ignore (sweep domains)) in
   Printf.printf "haar sweep  n=%-3d seq %10.3f ms   par(%d) %9.3f ms   speedup %5.2fx\n%!"
     sweep_n (1e3 *. seq_s) domains (1e3 *. par_s) (seq_s /. par_s);
+  let synth = bench_synth ~min_time in
+  let per_sweep x = x /. float_of_int (max 1 synth.sweeps) in
+  Printf.printf "synth ccx   sweeps %-6d run %8.3f ms   %7.3f us/sweep   %8.0f minor words/sweep\n%!"
+    synth.sweeps (1e3 *. synth.run_s) (1e6 *. per_sweep synth.run_s) (per_sweep synth.words);
   (* table2-style end-to-end pass: compile a few suite benches both ways *)
   let suite = Benchmarks.Suite.suite () in
   let e2e_count = if smoke then 2 else 3 in
@@ -210,6 +237,9 @@ let () =
   bpf
     "  \"haar_sweep\": {\"n\": %d, \"domains\": %d, \"seq_ms\": %.3f, \"par_ms\": %.3f, \"speedup\": %.3f, \"deterministic\": %b},\n"
     sweep_n domains (1e3 *. seq_s) (1e3 *. par_s) (seq_s /. par_s) (r1 = rd);
+  bpf
+    "  \"synth\": {\"target\": \"ccx\", \"sweeps\": %d, \"run_ms\": %.3f, \"us_per_sweep\": %.3f, \"minor_words_per_sweep\": %.0f},\n"
+    synth.sweeps (1e3 *. synth.run_s) (1e6 *. per_sweep synth.run_s) (per_sweep synth.words);
   bpf "  \"end_to_end\": [\n";
   List.iteri
     (fun i (name, eff_s, full_s) ->

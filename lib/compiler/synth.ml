@@ -7,46 +7,64 @@ let slot_wires = function
   | Free1q q -> [| q |]
   | Fixed g -> g.Gate.qubits
 
-(* Environment of a slot: with M = B . target† . A (n-qubit operators) and
-   the slot acting on wires [qs], E[i][j] = sum_s M[idx(j,s), idx(i,s)] so
-   that Tr(M . embed g) = Tr(Eᵀ g). *)
-let environment ~n m qs =
-  let k = Array.length qs in
-  let gate_pos = Array.map (fun q -> n - 1 - q) qs in
-  let spect_pos =
-    Array.of_list
-      (List.filter
-         (fun p -> not (Array.exists (fun gp -> gp = p) gate_pos))
-         (List.init n (fun i -> i)))
-  in
-  let idx g s =
-    let v = ref 0 in
-    Array.iteri
-      (fun pos p -> if (g lsr (k - 1 - pos)) land 1 = 1 then v := !v lor (1 lsl p))
-      gate_pos;
-    Array.iteri
-      (fun pos p -> if (s lsr pos) land 1 = 1 then v := !v lor (1 lsl p))
-      spect_pos;
-    !v
-  in
-  let sub = 1 lsl k and spect = 1 lsl (n - k) in
-  Mat.init sub sub (fun i j ->
-      let acc = ref Cx.zero in
-      for s = 0 to spect - 1 do
-        acc := Cx.( +: ) !acc (Mat.get m (idx j s) (idx i s))
-      done;
-      !acc)
+(* |Tr(tdag . p)| with the diagonal of the product summed exactly as
+   [Mat.mul_into] then [Mat.trace] would: row i's terms in ascending order
+   (zero entries of tdag skipped), then the diagonal in ascending order. *)
+let trace_fidelity tdag p =
+  let d = Mat.rows p in
+  let are = Mat.re_plane tdag and aim = Mat.im_plane tdag in
+  let bre = Mat.re_plane p and bim = Mat.im_plane p in
+  let tr = ref 0.0 and ti = ref 0.0 in
+  for i = 0 to d - 1 do
+    let sr = ref 0.0 and si = ref 0.0 in
+    for k = 0 to d - 1 do
+      let ar = Array.unsafe_get are ((i * d) + k) and ai = Array.unsafe_get aim ((i * d) + k) in
+      if ar <> 0.0 || ai <> 0.0 then begin
+        let br = Array.unsafe_get bre ((k * d) + i) and bi = Array.unsafe_get bim ((k * d) + i) in
+        sr := !sr +. ((ar *. br) -. (ai *. bi));
+        si := !si +. ((ar *. bi) +. (ai *. br))
+      end
+    done;
+    tr := !tr +. !sr;
+    ti := !ti +. !si
+  done;
+  Cx.norm (Cx.mk !tr !ti)
 
-let embed ~n (qs : int array) mat =
-  Quantum.Gates.embed ~n ~qubits:(Array.to_list qs) mat
+let set_identity m =
+  Mat.zero_fill m;
+  for i = 0 to Mat.rows m - 1 do
+    Mat.set_parts m i i 1.0 0.0
+  done
 
+(* The sweep multiplies by each slot through its support and keeps every
+   intermediate in a workspace allocated once per call: the suffix
+   products, two prefix buffers, tdag times a suffix, one environment
+   per slot and the SVD buffers. Each product is bit-identical to the dense
+   product with the slot's embedding (see [Quantum.Support]). *)
 let optimize ?(sweeps = 400) ?(restarts = 6) ?(tol = 1e-10) rng ~n ~target slots =
   let dim = 1 lsl n in
   let slots_arr = Array.of_list slots in
   let m_slots = Array.length slots_arr in
   let tdag = Mat.dagger target in
+  let support = Array.map (fun s -> Quantum.Support.make ~n (slot_wires s)) slots_arr in
+  let square () = Mat.create dim dim in
+  (* suffix.(k) = emb(m-1) ... emb(k) for k >= 1; suffix.(m) is the identity *)
+  let suffix = Array.init (m_slots + 1) (fun _ -> square ()) in
+  set_identity suffix.(m_slots);
+  let prefix = ref (square ()) and spare = ref (square ()) in
+  let tdag_suffix = square () in
+  let env =
+    Array.map
+      (fun sup ->
+        let k = Quantum.Support.size sup in
+        Mat.create k k)
+      support
+  in
+  let svd1 = Svd.make_ws 2 and svd2 = Svd.make_ws 4 in
+  let swept = ref 0 in
   let run_restart () =
-    (* current slot matrices *)
+    (* current slot matrices, fresh each restart: the sweep updates the
+       free ones in place *)
     let mats =
       Array.map
         (function
@@ -55,36 +73,41 @@ let optimize ?(sweeps = 400) ?(restarts = 6) ?(tol = 1e-10) rng ~n ~target slots
           | Fixed g -> g.Gate.mat)
         slots_arr
     in
-    let embedded () = Array.mapi (fun i s -> embed ~n (slot_wires s) mats.(i)) slots_arr in
-    let fval () =
-      let p =
-        Array.fold_left (fun acc e -> Mat.mul e acc) (Mat.identity dim) (embedded ())
-      in
-      Cx.norm (Mat.trace (Mat.mul tdag p))
+    (* prefix <- emb(k) prefix, from the identity *)
+    let push k =
+      Quantum.Support.mul_left_into support.(k) ~dst:!spare mats.(k) !prefix;
+      let p = !prefix in
+      prefix := !spare;
+      spare := p
     in
-    let best = ref (fval ()) in
+    set_identity !prefix;
+    for k = 0 to m_slots - 1 do
+      push k
+    done;
+    let best = ref (trace_fidelity tdag !prefix) in
     let stall = ref 0 in
     (try
        for _ = 1 to sweeps do
-         (* suffix products: suffix.(k) = emb(m-1) ... emb(k) *)
-         let emb = embedded () in
-         let suffix = Array.make (m_slots + 1) (Mat.identity dim) in
-         for k = m_slots - 1 downto 0 do
-           suffix.(k) <- Mat.mul suffix.(k + 1) emb.(k)
+         incr swept;
+         for k = m_slots - 1 downto 1 do
+           Quantum.Support.mul_right_into support.(k) ~dst:suffix.(k) suffix.(k + 1) mats.(k)
          done;
-         let prefix = ref (Mat.identity dim) in
+         set_identity !prefix;
          (* prefix = emb(k-1) ... emb(0) as k advances *)
          for k = 0 to m_slots - 1 do
            (match slots_arr.(k) with
            | Fixed _ -> ()
            | Free2q _ | Free1q _ ->
-             let a = suffix.(k + 1) in
-             let menv = Mat.mul !prefix (Mat.mul tdag a) in
-             let e = environment ~n menv (slot_wires slots_arr.(k)) in
-             mats.(k) <- Svd.unitary_maximizer (Mat.transpose e));
-           prefix := Mat.mul (embed ~n (slot_wires slots_arr.(k)) mats.(k)) !prefix
+             (* the transposed environment: the spectator trace of
+                prefix . tdag . suffix *)
+             Mat.mul_into ~dst:tdag_suffix tdag suffix.(k + 1);
+             Quantum.Support.partial_trace_mul_into support.(k) ~dst:env.(k) !prefix tdag_suffix;
+             let svd = match slots_arr.(k) with Free2q _ -> svd2 | _ -> svd1 in
+             Svd.unitary_maximizer_into svd ~dst:mats.(k) env.(k));
+           push k
          done;
-         let f = fval () in
+         (* the final prefix is the whole circuit *)
+         let f = trace_fidelity tdag !prefix in
          let converged = 1.0 -. (!best /. float_of_int dim) < tol in
          (* once below tol, keep polishing toward machine precision *)
          let thresh = if converged then 1e-16 else 1e-13 *. float_of_int dim in
@@ -122,6 +145,7 @@ let optimize ?(sweeps = 400) ?(restarts = 6) ?(tol = 1e-10) rng ~n ~target slots
            | Fixed g -> [ g ])
          slots)
   in
+  Obs.Metric.add ~stage:"compiler.synth" "sweeps" !swept;
   (gates, !best_inf)
 
 let pair_cycle n =

@@ -133,18 +133,36 @@ let jacobi a0 =
   let (_ : float) = jacobi_into ~a ~v ~w () in
   (w, v)
 
-let sort_eig (w, v) =
+let ascending_into w order =
+  for i = 0 to Array.length order - 1 do
+    order.(i) <- i
+  done;
+  Array.sort (fun i j -> compare w.(i) w.(j)) order
+
+let sorted_pairs w v order =
   let n = Array.length w in
-  let order = Array.init n (fun i -> i) in
-  Array.sort (fun i j -> compare w.(i) w.(j)) order;
-  let w' = Array.map (fun i -> w.(i)) order in
-  let v' = Mat.init n n (fun i j -> Mat.get v i order.(j)) in
-  (w', v')
+  (Array.map (fun i -> w.(i)) order, Mat.init n n (fun i j -> Mat.get v i order.(j)))
+
+let sort_eig (w, v) =
+  let order = Array.make (Array.length w) 0 in
+  ascending_into w order;
+  sorted_pairs w v order
+
+let hermitian_into ~a ~v ~w ~order m =
+  let tol = 1e-8 *. (1.0 +. Mat.max_abs m) in
+  Mat.dagger_into ~dst:a m;
+  if not (Mat.equal ~tol a m) then invalid_arg "Eig.hermitian: not Hermitian";
+  Mat.copy_into ~dst:a m;
+  let (_ : float) = jacobi_into ~a ~v ~w () in
+  ascending_into w order
 
 let hermitian m =
-  let tol = 1e-8 *. (1.0 +. Mat.max_abs m) in
-  if not (Mat.is_hermitian ~tol m) then invalid_arg "Eig.hermitian: not Hermitian";
-  sort_eig (jacobi m)
+  let n = Mat.rows m in
+  if n <> Mat.cols m then invalid_arg "Eig.hermitian: not Hermitian";
+  let a = Mat.create n n and v = Mat.create n n in
+  let w = Array.make n 0.0 and order = Array.make n 0 in
+  hermitian_into ~a ~v ~w ~order m;
+  sorted_pairs w v order
 
 let hermitian_r m =
   if Mat.rows m <> Mat.cols m then

@@ -8,6 +8,15 @@
     @raise Invalid_argument if [m] is not square. *)
 val hermitian : Mat.t -> float array * Mat.t
 
+(** [hermitian_into ~a ~v ~w ~order m] is {!hermitian} on the caller's
+    [n x n] buffers, bit for bit: [w] and [v] receive the eigenvalues and
+    eigenvector columns unsorted, and [order] the column indices by
+    ascending eigenvalue. [a] is scratch.
+    @raise Invalid_argument if [m] is not Hermitian or a buffer is
+    mis-sized. *)
+val hermitian_into :
+  a:Mat.t -> v:Mat.t -> w:float array -> order:int array -> Mat.t -> unit
+
 (** [hermitian_r m] is {!hermitian} with typed errors instead of raising:
     [Ill_conditioned] (non-square), [Nan_detected] (poisoned input),
     [Invalid_hamiltonian] (not Hermitian) or [Non_convergence] (sweep cap

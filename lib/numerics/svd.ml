@@ -66,54 +66,96 @@ let complete_basis u valid =
     arr;
   out
 
+(* Buffers for one n x n decomposition, so the synthesis sweep can run
+   its thousands of small SVDs without allocating. *)
+type ws = {
+  n : int;
+  xd : Mat.t;  (* x† *)
+  gram : Mat.t;  (* x† x *)
+  a : Mat.t;  (* Jacobi scratch *)
+  v : Mat.t;  (* eigenvectors of the Gram matrix, unsorted *)
+  w : float array;  (* its eigenvalues, unsorted *)
+  order : int array;  (* eigenpairs by ascending eigenvalue *)
+  s : float array;  (* singular values, descending *)
+  vs : Mat.t;  (* right singular vectors, descending *)
+  xv : Mat.t;  (* x vs *)
+  u : Mat.t;  (* left singular vectors *)
+  valid : bool array;
+  ud : Mat.t;
+}
+
+let make_ws n =
+  let m () = Mat.create n n in
+  {
+    n;
+    xd = m ();
+    gram = m ();
+    a = m ();
+    v = m ();
+    w = Array.make n 0.0;
+    order = Array.make n 0;
+    s = Array.make n 0.0;
+    vs = m ();
+    xv = m ();
+    u = m ();
+    valid = Array.make n false;
+    ud = m ();
+  }
+
+(* x = u diag(s) vs† from the eigenpairs of x† x = vs diag(s^2) vs†.
+   Fills ws.s and ws.vs and returns u (ws.u, or a fresh completed basis
+   when x is rank-deficient). *)
+let decompose ws x =
+  let n = ws.n in
+  if Mat.rows x <> n || Mat.cols x <> n then invalid_arg "Svd: input size mismatch";
+  Mat.dagger_into ~dst:ws.xd x;
+  Mat.mul_into ~dst:ws.gram ws.xd x;
+  Eig.hermitian_into ~a:ws.a ~v:ws.v ~w:ws.w ~order:ws.order ws.gram;
+  (* descending: column j takes the eigenpair of rank n-1-j *)
+  let vre = Mat.re_plane ws.v and vim = Mat.im_plane ws.v in
+  let sre = Mat.re_plane ws.vs and sim = Mat.im_plane ws.vs in
+  for j = 0 to n - 1 do
+    let e = ws.order.(n - 1 - j) in
+    ws.s.(j) <- Float.sqrt (Float.max 0.0 ws.w.(e));
+    for i = 0 to n - 1 do
+      sre.((i * n) + j) <- vre.((i * n) + e);
+      sim.((i * n) + j) <- vim.((i * n) + e)
+    done
+  done;
+  Mat.mul_into ~dst:ws.xv x ws.vs;
+  Mat.zero_fill ws.u;
+  let mre = Mat.re_plane ws.xv and mim = Mat.im_plane ws.xv in
+  let ure = Mat.re_plane ws.u and uim = Mat.im_plane ws.u in
+  let full = ref true in
+  for j = 0 to n - 1 do
+    ws.valid.(j) <- ws.s.(j) > 1e-10;
+    if ws.valid.(j) then begin
+      let inv = 1.0 /. ws.s.(j) in
+      for i = 0 to n - 1 do
+        ure.((i * n) + j) <- inv *. mre.((i * n) + j);
+        uim.((i * n) + j) <- inv *. mim.((i * n) + j)
+      done
+    end
+    else full := false
+  done;
+  if !full then ws.u else complete_basis ws.u ws.valid
+
 let svd m =
-  let n = Mat.rows m in
-  if n <> Mat.cols m then invalid_arg "Svd.svd: non-square";
-  (* m† m = v diag(s^2) v† *)
-  let md = Mat.create n n in
-  Mat.dagger_into ~dst:md m;
-  let mtm = Mat.create n n in
-  Mat.mul_into ~dst:mtm md m;
-  let w, v = Eig.hermitian mtm in
-  (* descending order *)
-  let order = Array.init n (fun i -> n - 1 - i) in
-  let s = Array.map (fun i -> Float.sqrt (Float.max 0.0 w.(i))) order in
-  let vd = Mat.create n n in
-  (let vre = Mat.re_plane v and vim = Mat.im_plane v in
-   let dre = Mat.re_plane vd and dim = Mat.im_plane vd in
-   for i = 0 to n - 1 do
-     for j = 0 to n - 1 do
-       dre.((i * n) + j) <- vre.((i * n) + order.(j));
-       dim.((i * n) + j) <- vim.((i * n) + order.(j))
-     done
-   done);
-  let v = vd in
-  let mv = Mat.create n n in
-  Mat.mul_into ~dst:mv m v;
-  let u = Mat.create n n in
-  let valid = Array.make n false in
-  (let mre = Mat.re_plane mv and mim = Mat.im_plane mv in
-   let ure = Mat.re_plane u and uim = Mat.im_plane u in
-   for j = 0 to n - 1 do
-     if s.(j) > 1e-10 then begin
-       valid.(j) <- true;
-       let inv = 1.0 /. s.(j) in
-       for i = 0 to n - 1 do
-         ure.((i * n) + j) <- inv *. mre.((i * n) + j);
-         uim.((i * n) + j) <- inv *. mim.((i * n) + j)
-       done
-     end
-   done);
-  let u = if Array.for_all Fun.id valid then u else complete_basis u valid in
-  (u, s, v)
+  if Mat.rows m <> Mat.cols m then invalid_arg "Svd.svd: non-square";
+  let ws = make_ws (Mat.rows m) in
+  let u = decompose ws m in
+  (u, ws.s, ws.vs)
+
+(* maximize Re Tr(x g) over unitary g: with x = u s v†, g = v u†. *)
+let unitary_maximizer_into ws ~dst x =
+  let u = decompose ws x in
+  Mat.dagger_into ~dst:ws.ud u;
+  Mat.mul_into ~dst ws.vs ws.ud
 
 let unitary_maximizer x =
-  (* maximize Re Tr(x g) over unitary g: with x = u s v†, g = v u†. *)
-  let u, _, v = svd x in
-  let ud = Mat.create (Mat.rows u) (Mat.cols u) in
-  Mat.dagger_into ~dst:ud u;
-  let g = Mat.create (Mat.rows v) (Mat.cols ud) in
-  Mat.mul_into ~dst:g v ud;
+  let n = Mat.rows x in
+  let g = Mat.create n n in
+  unitary_maximizer_into (make_ws n) ~dst:g x;
   g
 
 let nuclear_norm x =

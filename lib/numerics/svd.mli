@@ -12,5 +12,16 @@ val svd : Mat.t -> Mat.t * float array * Mat.t
     This is the closed-form single-gate update in alternating synthesis. *)
 val unitary_maximizer : Mat.t -> Mat.t
 
+(** Buffers for decompositions of one size. *)
+type ws
+
+(** [make_ws n] allocates buffers for [n x n] inputs. *)
+val make_ws : int -> ws
+
+(** [unitary_maximizer_into ws ~dst x] writes {!unitary_maximizer}[ x]
+    into [dst], bit for bit, without allocating unless [x] is
+    rank-deficient. *)
+val unitary_maximizer_into : ws -> dst:Mat.t -> Mat.t -> unit
+
 (** [nuclear_norm x] is the sum of singular values of [x]. *)
 val nuclear_norm : Mat.t -> float

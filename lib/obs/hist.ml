@@ -42,6 +42,9 @@ let observe ~stage ~name dur_ns =
   cell.count <- cell.count + 1;
   Mutex.unlock lock
 
+let on_span (e : Sink.span_event) = observe ~stage:e.stage ~name:e.name e.dur_ns
+let sink = { Sink.on_span }
+
 let snapshot () =
   Mutex.lock lock;
   let flat =

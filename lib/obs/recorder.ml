@@ -9,7 +9,7 @@ let create ?(capacity = 65536) () =
   { lock = Mutex.create (); capacity; ring = Array.make (max 1 capacity) None; next = 0 }
 
 let on_span t (e : Sink.span_event) =
-  Hist.observe ~stage:e.Sink.stage ~name:e.Sink.name e.Sink.dur_ns;
+  Hist.on_span e;
   Mutex.lock t.lock;
   t.ring.(t.next mod Array.length t.ring) <- Some e;
   t.next <- t.next + 1;

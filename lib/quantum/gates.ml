@@ -113,29 +113,4 @@ let cswap =
 
 let local2 a b = Mat.kron a b
 
-let embed ~n ~qubits g =
-  let k = List.length qubits in
-  if Mat.rows g <> 1 lsl k then invalid_arg "Gates.embed: gate size mismatch";
-  List.iter
-    (fun q -> if q < 0 || q >= n then invalid_arg "Gates.embed: qubit out of range")
-    qubits;
-  let qs = Array.of_list qubits in
-  let dim = 1 lsl n in
-  (* bit of qubit q inside an n-bit index (qubit 0 = MSB) *)
-  let bit idx q = (idx lsr (n - 1 - q)) land 1 in
-  Mat.init dim dim (fun row col ->
-      (* rows/cols must agree outside the gate's support *)
-      let rec outside_ok q =
-        q >= n
-        || ((Array.exists (fun x -> x = q) qs || bit row q = bit col q) && outside_ok (q + 1))
-      in
-      if not (outside_ok 0) then zc
-      else begin
-        let gr = ref 0 and gc = ref 0 in
-        Array.iter
-          (fun q ->
-            gr := (!gr lsl 1) lor bit row q;
-            gc := (!gc lsl 1) lor bit col q)
-          qs;
-        Mat.get g !gr !gc
-      end)
+let embed ~n ~qubits g = Support.embed (Support.make ~n (Array.of_list qubits)) g

@@ -66,7 +66,10 @@ val cswap : Mat.t
 (** {1 Embedding} *)
 
 (** [embed ~n ~qubits g] lifts gate [g] (on [List.length qubits] qubits, in
-    the order given) to an [n]-qubit unitary acting on those wires. *)
+    the order given) to an [n]-qubit unitary acting on those wires
+    ({!Support.embed}). Hot loops multiply through {!Support} instead.
+    @raise Invalid_argument on a size mismatch, a wire out of range or a
+    repeated wire. *)
 val embed : n:int -> qubits:int list -> Mat.t -> Mat.t
 
 (** [local2 a b] is [a ⊗ b] for 2x2 [a], [b]. *)

@@ -26,7 +26,7 @@ type t = {
   served : int Atomic.t;
   errors : int Atomic.t;
   t0 : float;
-  owned_recorder : Obs.Recorder.t option;
+  owns_sink : bool;
   mutable domains : unit Domain.t array;
 }
 
@@ -528,11 +528,11 @@ let worker t () =
 
 let create ?(workers = 0) ?(coalesce = true) ?(pace_us = 0) ?cache ~seed () =
   (* the engine observes itself: if the embedding process has not
-     installed a sink, record into our own ring so the [stats] op (and
-     its "obs" block) always has live span/metric data to report *)
-  let owned_recorder =
-    if Obs.Sink.enabled () then None else Some (Obs.Recorder.start ())
-  in
+     installed a sink, install the histogram-only one so the [stats] op
+     (and its "obs" block) always has live span/metric data to report.
+     [stats] reads only histograms and metrics, so no events are kept. *)
+  let owns_sink = not (Obs.Sink.enabled ()) in
+  if owns_sink then Obs.Sink.install Obs.Hist.sink;
   Option.iter Microarch.Pulse_cache.install cache;
   let t =
     {
@@ -549,7 +549,7 @@ let create ?(workers = 0) ?(coalesce = true) ?(pace_us = 0) ?cache ~seed () =
       served = Atomic.make 0;
       errors = Atomic.make 0;
       t0 = Unix.gettimeofday ();
-      owned_recorder;
+      owns_sink;
       domains = [||];
     }
   in
@@ -627,7 +627,7 @@ let drain t =
   t.domains <- [||];
   if Option.is_some t.cache then Microarch.Pulse_cache.uninstall ();
   Option.iter Cache.close t.cache;
-  Option.iter Obs.Recorder.stop t.owned_recorder
+  if t.owns_sink then Obs.Sink.uninstall ()
 
 let served t = Atomic.get t.served
 let errors t = Atomic.get t.errors

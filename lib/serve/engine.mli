@@ -8,9 +8,9 @@
     write lock) — the engine itself never owns an output channel.
 
     The engine owns the process-global pulse cache for its lifetime (when
-    one is given) and a self-installed {!Obs.Recorder} when the embedding
+    one is given) and a self-installed {!Obs.Hist.sink} when the embedding
     process has no sink, so the [stats] op always reports live span
-    aggregates. Both are released by {!drain}.
+    aggregates without storing events. Both are released by {!drain}.
 
     {b Single-flight coalescing} (on by default): when K in-flight
     requests share a {!Protocol.body_key} — same pure op, same quantized
@@ -80,7 +80,7 @@ val submit : t -> Protocol.parsed -> respond:(Json.t -> unit) -> unit
 val exec_once : t -> Protocol.parsed -> Json.t
 
 (** [drain t] closes the queue, executes everything already enqueued,
-    joins the workers, then releases the cache and any owned recorder.
+    joins the workers, then releases the cache and any owned sink.
     Queued jobs still answer — shutdown is a drain, not a drop. *)
 val drain : t -> unit
 

@@ -331,6 +331,163 @@ let test_pipeline_pauli () =
   check_phase ~tol:1e-6 "pauli pipeline preserves" reference
     (Mat.mul (Mat.dagger fix) (Circuit.unitary out.Passes.circuit))
 
+(* ------------------------------------------------------ sweep kernels *)
+
+(* The synthesis sweep multiplies through gate supports instead of dense
+   embeddings. The references below are the dense definitions: the
+   embedding built entry by entry, the environment summed from a formed
+   product, and the Procrustes update through [Eig.hermitian]. Every
+   kernel must match them bit for bit, compared on the bit patterns of the
+   planes, which is stricter than [=]: it also tells +0 from -0. *)
+
+let dense_embed ~n qs g =
+  let bit idx q = (idx lsr (n - 1 - q)) land 1 in
+  Mat.init (1 lsl n) (1 lsl n) (fun row col ->
+      let rec outside_ok q =
+        q >= n
+        || ((Array.exists (fun x -> x = q) qs || bit row q = bit col q) && outside_ok (q + 1))
+      in
+      if not (outside_ok 0) then Cx.zero
+      else begin
+        let gr = ref 0 and gc = ref 0 in
+        Array.iter
+          (fun q ->
+            gr := (!gr lsl 1) lor bit row q;
+            gc := (!gc lsl 1) lor bit col q)
+          qs;
+        Mat.get g !gr !gc
+      end)
+
+(* E[i][j] = sum_s M[idx(j,s), idx(i,s)], so that Tr(M . embed g) = Tr(Eᵀ g) *)
+let dense_environment ~n m qs =
+  let k = Array.length qs in
+  let gate_pos = Array.map (fun q -> n - 1 - q) qs in
+  let spect_pos =
+    Array.of_list
+      (List.filter
+         (fun p -> not (Array.exists (fun gp -> gp = p) gate_pos))
+         (List.init n (fun i -> i)))
+  in
+  let idx g s =
+    let v = ref 0 in
+    Array.iteri
+      (fun pos p -> if (g lsr (k - 1 - pos)) land 1 = 1 then v := !v lor (1 lsl p))
+      gate_pos;
+    Array.iteri (fun pos p -> if (s lsr pos) land 1 = 1 then v := !v lor (1 lsl p)) spect_pos;
+    !v
+  in
+  let sub = 1 lsl k and spect = 1 lsl (n - k) in
+  Mat.init sub sub (fun i j ->
+      let acc = ref Cx.zero in
+      for s = 0 to spect - 1 do
+        acc := Cx.( +: ) !acc (Mat.get m (idx j s) (idx i s))
+      done;
+      !acc)
+
+(* the unitary Procrustes update through Eig.hermitian, for full-rank x *)
+let dense_unitary_maximizer x =
+  let n = Mat.rows x in
+  let w, v = Eig.hermitian (Mat.mul (Mat.dagger x) x) in
+  let order = Array.init n (fun i -> n - 1 - i) in
+  let s = Array.map (fun i -> Float.sqrt (Float.max 0.0 w.(i))) order in
+  let vd = Mat.init n n (fun i j -> Mat.get v i order.(j)) in
+  let mv = Mat.mul x vd in
+  let u =
+    Mat.init n n (fun i j ->
+        let inv = 1.0 /. s.(j) in
+        Cx.mk (inv *. Mat.get_re mv i j) (inv *. Mat.get_im mv i j))
+  in
+  Mat.mul vd (Mat.dagger u)
+
+let same_bits a b =
+  Mat.rows a = Mat.rows b
+  && Mat.cols a = Mat.cols b
+  &&
+  let eq p q = Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) p q in
+  eq (Mat.re_plane a) (Mat.re_plane b) && eq (Mat.im_plane a) (Mat.im_plane b)
+
+(* every ordered placement of k distinct wires among n *)
+let rec placements n k =
+  if k = 0 then [ [] ]
+  else
+    List.concat_map
+      (fun rest -> List.filter_map (fun q -> if List.mem q rest then None else Some (q :: rest)) (List.init n Fun.id))
+      (placements n (k - 1))
+
+(* random dense operator with some -0 entries and, unless [~full_rank],
+   some exact zeros *)
+let random_operator ?(full_rank = false) r dim =
+  Mat.init dim dim (fun _ _ ->
+      match Rng.int r 8 with
+      | 0 when not full_rank -> Cx.zero
+      | 1 -> Cx.mk (-0.0) (Rng.gaussian r)
+      | _ -> Cx.mk (Rng.gaussian r) (Rng.gaussian r))
+
+(* Haar gates plus gates with exact-zero entries (X, CX, SWAP, CCX,
+   CSWAP, and a Haar gate with some entries zeroed) *)
+let gates_for r k =
+  let haar = Quantum.Haar.unitary r (1 lsl k) in
+  let sparse = Mat.copy haar in
+  Mat.set sparse 0 (1 lsl k - 1) Cx.zero;
+  Mat.set sparse (1 lsl k - 1) 0 (Cx.mk (-0.0) 0.0);
+  haar :: sparse
+  ::
+  (match k with
+  | 1 -> [ Quantum.Gates.x ]
+  | 2 -> [ Quantum.Gates.cnot; Quantum.Gates.swap; Quantum.Gates.cz ]
+  | _ -> [ Quantum.Gates.ccx; Quantum.Gates.cswap ])
+
+let kernel_props =
+  let seed = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000) in
+  let for_all_cases f =
+    List.for_all
+      (fun n ->
+        List.for_all
+          (fun k -> List.for_all (fun qs -> f n (Array.of_list qs)) (placements n k))
+          (List.init n (fun i -> i + 1)))
+      [ 2; 3 ]
+  in
+  [
+    QCheck.Test.make ~count:25 ~name:"support products and embed match dense bit for bit" seed
+      (fun sd ->
+        let r = Rng.create (Int64.of_int sd) in
+        for_all_cases (fun n qs ->
+            let sup = Quantum.Support.make ~n qs in
+            let dim = 1 lsl n in
+            List.for_all
+              (fun g ->
+                let e = dense_embed ~n qs g in
+                let m = random_operator r dim in
+                let left = Mat.create dim dim and right = Mat.create dim dim in
+                Quantum.Support.mul_left_into sup ~dst:left g m;
+                Quantum.Support.mul_right_into sup ~dst:right m g;
+                same_bits e (Quantum.Support.embed sup g)
+                && same_bits e (Quantum.Gates.embed ~n ~qubits:(Array.to_list qs) g)
+                && same_bits (Mat.mul e m) left
+                && same_bits (Mat.mul m e) right)
+              (gates_for r (Array.length qs))));
+    QCheck.Test.make ~count:25 ~name:"environment contraction matches dense bit for bit" seed
+      (fun sd ->
+        let r = Rng.create (Int64.of_int sd) in
+        for_all_cases (fun n qs ->
+            let sup = Quantum.Support.make ~n qs in
+            let dim = 1 lsl n and sz = 1 lsl Array.length qs in
+            let a = random_operator r dim and b = random_operator r dim in
+            let env = Mat.create sz sz in
+            Quantum.Support.partial_trace_mul_into sup ~dst:env a b;
+            same_bits (Mat.transpose (dense_environment ~n (Mat.mul a b) qs)) env));
+    QCheck.Test.make ~count:50 ~name:"workspace unitary maximizer matches dense bit for bit" seed
+      (fun sd ->
+        let r = Rng.create (Int64.of_int sd) in
+        List.for_all
+          (fun n ->
+            let ws = Svd.make_ws n in
+            let x = random_operator ~full_rank:true r n and dst = Mat.create n n in
+            Svd.unitary_maximizer_into ws ~dst x;
+            same_bits (dense_unitary_maximizer x) dst && same_bits (Svd.unitary_maximizer x) dst)
+          [ 2; 4; 2; 4 ]);
+  ]
+
 (* -------------------------------------------------------------- metrics *)
 
 let test_metrics () =
@@ -395,4 +552,5 @@ let () =
           Alcotest.test_case "pauli program" `Quick test_pipeline_pauli;
         ] );
       ("metrics", [ Alcotest.test_case "reports" `Quick test_metrics ]);
+      ("sweep kernels", List.map QCheck_alcotest.to_alcotest kernel_props);
     ]

@@ -119,6 +119,58 @@ let test_big_suite_instantiates () =
           (List.length p.Compiler.Phoenix.terms > 0))
     big
 
+(* --------------------------------------------------------- golden output *)
+
+(* MD5 of a compile's exact bytes: every gate's label, wires and matrix
+   entries as hex floats, the final mapping, the mirror count and the
+   template class count. *)
+let digest (out : Reqisc.compiled) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (g : Gate.t) ->
+      Buffer.add_string b g.label;
+      Array.iter (fun q -> Buffer.add_string b (Printf.sprintf " %d" q)) g.qubits;
+      for i = 0 to Mat.rows g.mat - 1 do
+        for j = 0 to Mat.cols g.mat - 1 do
+          Buffer.add_string b
+            (Printf.sprintf " %h %h" (Mat.get_re g.mat i j) (Mat.get_im g.mat i j))
+        done
+      done;
+      Buffer.add_char b '\n')
+    out.circuit.gates;
+  Array.iter (fun q -> Buffer.add_string b (Printf.sprintf "m%d " q)) out.final_mapping;
+  Buffer.add_string b (Printf.sprintf "mir%d cls%d" out.mirrored out.template_classes);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Seed-1 compiles of template-bound programs. Speed work on the compiler
+   must leave every byte of these unchanged; a change that moves them on
+   purpose re-records them and says so. *)
+let golden =
+  [
+    ("alu_1", Reqisc.Eff, "5c68a5a1465d059fbda532fcbb5fbb23");
+    ("alu_1", Reqisc.Full, "5c68a5a1465d059fbda532fcbb5fbb23");
+    ("comparator_2", Reqisc.Eff, "28d5e664cb564e48ff637fecffd0340b");
+    ("comparator_2", Reqisc.Full, "62419b9f8a8a26986cd5e6dd86bc1fa6");
+    ("tof_5", Reqisc.Eff, "bfd5dc2ec1f51ff823ccefd6d015d9a0");
+    ("tof_5", Reqisc.Full, "d992461be56f863dd209c2dcefa5f543");
+  ]
+
+let test_golden_digests () =
+  let suite = Benchmarks.Suite.suite () in
+  List.iter
+    (fun (name, mode, expected) ->
+      let b = List.find (fun (b : Benchmarks.Suite.bench) -> b.name = name) suite in
+      let circuit =
+        match b.program with
+        | Compiler.Pipeline.Gates c -> c
+        | Compiler.Pipeline.Pauli _ -> Alcotest.fail (name ^ " is not a gate program")
+      in
+      let out = ok (Reqisc.compile ~mode (Rng.create 1L) circuit) in
+      Alcotest.(check string)
+        (name ^ " " ^ Compiler.Passes.mode_to_string mode)
+        expected (digest out))
+    golden
+
 let () =
   Alcotest.run "facade"
     [
@@ -140,4 +192,5 @@ let () =
           Alcotest.test_case "3q unitary qasm" `Quick test_qasm_three_qubit_unitary;
           Alcotest.test_case "big suite" `Quick test_big_suite_instantiates;
         ] );
+      ("golden", [ Alcotest.test_case "seed-1 compile digests" `Slow test_golden_digests ]);
     ]
