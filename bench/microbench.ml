@@ -135,8 +135,7 @@ let bench_apply_gate ~min_time rng ~nq n =
 
 (* A cold [Synth.min_su4] on the CCX block, the template pass's inner
    loop: a fresh RNG per run, so every run does the same sweeps. The sweep
-   count comes from the [compiler.synth/sweeps] metric, read while a
-   histogram sink is installed for one counting run. *)
+   count is the [compiler.synth/sweeps] counter's delta over one run. *)
 type synth_row = { sweeps : int; run_s : float; words : float }
 
 let bench_synth ~min_time =
@@ -145,14 +144,11 @@ let bench_synth ~min_time =
       (Compiler.Synth.min_su4 ~tol:1e-9 (Rng.create 42L) ~n:3 ~target:Quantum.Gates.ccx
          ~max_gates:8)
   in
-  Obs.Sink.install Obs.Hist.sink;
-  Obs.Metric.reset ();
-  let w0 = Gc.minor_words () in
+  let swept () = Robust.Counters.get ~stage:"compiler.synth" "sweeps" in
+  let s0 = swept () and w0 = Gc.minor_words () in
   run ();
   let words = Gc.minor_words () -. w0 in
-  let sweeps = Obs.Metric.get ~stage:"compiler.synth" "sweeps" in
-  Obs.Sink.uninstall ();
-  Obs.Metric.reset ();
+  let sweeps = swept () - s0 in
   { sweeps; run_s = time ~min_time run; words }
 
 let () =

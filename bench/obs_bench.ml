@@ -99,7 +99,6 @@ let validate_trace path =
 let obs ?(limit = 3) ~big () =
   hr "obs: tracing overhead + per-stage latency profile";
   Obs.Hist.reset ();
-  Obs.Metric.reset ();
   (* warm up once (page in the template library paths etc.), then
      alternate which side runs first each rep so heap growth, frequency
      scaling and GC drift hit both sides equally *)

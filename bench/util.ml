@@ -59,7 +59,7 @@ let write_robust_json path =
     (fun i (site, n) -> bpf "%s%S: %d" (if i = 0 then "" else ", ") site n)
     (Robust.Fault.hits ());
   bpf "},\n";
-  bpf "  \"counters\": %s,\n" (Robust.Counters.to_json ());
+  bpf "  \"counters\": %s,\n" (Obs.Export.counters_json ());
   bpf "  \"table2_gate_outcomes\": [\n";
   let entries = List.rev !robust_gate_outcomes in
   List.iteri

@@ -6,9 +6,7 @@ module Jobq = Serve.Jobq
 
 let stage = "serve.cluster"
 
-let count name =
-  Obs.Metric.incr ~stage name;
-  Robust.Counters.incr ~stage name
+let count name = Robust.Counters.incr ~stage name
 
 type config = {
   vnodes : int;

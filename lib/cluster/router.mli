@@ -28,7 +28,7 @@
     queue depth), an ["aggregate"] block (served/errors and cache
     hits/misses summed across shards), and a per-shard array.
     [shutdown] is fanned to every shard and then drains the router
-    itself. Everything is observable under the Obs stage
+    itself. Every routing event is counted in {!Robust.Counters} stage
     ["serve.cluster"].
 
     Thread model: [channels] forwarding threads per shard (each owning

@@ -145,7 +145,7 @@ let optimize ?(sweeps = 400) ?(restarts = 6) ?(tol = 1e-10) rng ~n ~target slots
            | Fixed g -> [ g ])
          slots)
   in
-  Obs.Metric.add ~stage:"compiler.synth" "sweeps" !swept;
+  Robust.Counters.add ~stage:"compiler.synth" "sweeps" !swept;
   (gates, !best_inf)
 
 let pair_cycle n =

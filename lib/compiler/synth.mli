@@ -17,7 +17,7 @@ type slot =
     [restarts] random restarts (default 6) of at most [sweeps] sweeps
     (default 400) each, stopping early below [tol] (default 1e-10). The
     sweeps it ran are added to the [compiler.synth]/[sweeps] counter of
-    {!Obs.Metric}, which counts only while a sink is installed. *)
+    {!Robust.Counters}. *)
 val optimize :
   ?sweeps:int ->
   ?restarts:int ->

@@ -74,13 +74,13 @@ let prometheus () =
       bpf "reqisc_span_duration_seconds_count{stage=%s,name=%s} %d\n"
         (escape s.Hist.stage) (escape s.Hist.name) s.Hist.count)
     hists;
-  let counters = Metric.counters () in
+  let counters = Robust.Counters.counters () in
   if counters <> [] then bpf "# TYPE reqisc_counter_total counter\n";
   List.iter
     (fun (stage, name, v) ->
       bpf "reqisc_counter_total{stage=%s,name=%s} %d\n" (escape stage) (escape name) v)
     counters;
-  let gauges = Metric.gauges () in
+  let gauges = Robust.Counters.gauges () in
   if gauges <> [] then bpf "# TYPE reqisc_gauge gauge\n";
   List.iter
     (fun (stage, name, v) ->
@@ -89,6 +89,22 @@ let prometheus () =
   Buffer.contents b
 
 (* ------------------------------------------------------ json snapshot *)
+
+let counters_json () =
+  let b = Buffer.create 1024 in
+  let last = ref None in
+  List.iter
+    (fun (stage, name, v) ->
+      if !last = Some stage then Buffer.add_char b ','
+      else begin
+        Buffer.add_string b (if !last = None then "{" else "},");
+        Printf.bprintf b "%s:{" (escape stage);
+        last := Some stage
+      end;
+      Printf.bprintf b "%s:%d" (escape name) v)
+    (Robust.Counters.counters ());
+  Buffer.add_string b (if !last = None then "{}" else "}}");
+  Buffer.contents b
 
 let snapshot_json () =
   let b = Buffer.create 1024 in
@@ -102,17 +118,11 @@ let snapshot_json () =
         (escape (s.Hist.stage ^ "." ^ s.Hist.name))
         s.Hist.count (seconds_of_ns s.Hist.sum_ns) (q 0.5) (q 0.99))
     (Hist.snapshot ());
-  bpf "},\"counters\":{";
-  List.iteri
-    (fun i (stage, name, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      bpf "%s:%d" (escape (stage ^ "." ^ name)) v)
-    (Metric.counters ());
   bpf "},\"gauges\":{";
   List.iteri
     (fun i (stage, name, v) ->
       if i > 0 then Buffer.add_char b ',';
       bpf "%s:%g" (escape (stage ^ "." ^ name)) v)
-    (Metric.gauges ());
+    (Robust.Counters.gauges ());
   bpf "}}";
   Buffer.contents b

@@ -1,12 +1,17 @@
-(** Exporters over recorded spans and the aggregate registries.
+(** Exporters over recorded spans and the aggregate registries: the only
+    renderer of the span histograms ({!Hist}, sink-gated) and of the
+    always-on counter and gauge registry ({!Robust.Counters}).
 
-    Three formats:
+    Four formats:
     - {!chrome_trace}: Chrome trace-event JSON ([chrome://tracing] /
       Perfetto loadable) from a recorder's raw events;
-    - {!prometheus}: Prometheus text exposition (histograms from
-      {!Hist}, counters/gauges from {!Metric});
-    - {!snapshot_json}: the same aggregate data as one JSON object (the
-      ["obs"] block of the server's [stats] response). *)
+    - {!prometheus}: Prometheus text exposition of histograms, counters
+      and gauges;
+    - {!counters_json}: the counters as one nested JSON object (the
+      ["counters"] block of the server's [stats] response and of
+      [BENCH_robust.json]);
+    - {!snapshot_json}: histograms and gauges as one JSON object (the
+      ["obs"] block of [stats]). *)
 
 (** [chrome_trace events] — an object [{"traceEvents": [...],
     "displayTimeUnit": "ms"}] of complete ("ph":"X") events; timestamps
@@ -17,14 +22,18 @@ val chrome_trace : Sink.span_event list -> string
 (** [write_chrome_trace path events]. *)
 val write_chrome_trace : string -> Sink.span_event list -> unit
 
-(** Prometheus text exposition of the current {!Hist} and {!Metric}
-    registries: [reqisc_span_duration_seconds] histogram series plus
-    [reqisc_counter_total] and [reqisc_gauge], all labelled
+(** Prometheus text exposition of the current {!Hist} and
+    {!Robust.Counters} registries: [reqisc_span_duration_seconds]
+    histogram series plus [reqisc_counter_total] and [reqisc_gauge], all
+    labelled
     [{stage=..., name=...}]. *)
 val prometheus : unit -> string
 
+(** [{"stage": {"name": n, ...}, ...}], stages and names sorted. *)
+val counters_json : unit -> string
+
 (** One JSON object: [{"spans": {"stage.name": {"count": .., "sum_seconds":
-    .., "p50_seconds": .., "p99_seconds": ..}, ...}, "counters": {...},
-    "gauges": {...}}]. Quantiles are {!Hist.quantile} bucket upper
+    .., "p50_seconds": .., "p99_seconds": ..}, ...}, "gauges":
+    {"stage.name": v, ...}}]. Quantiles are {!Hist.quantile} bucket upper
     bounds. *)
 val snapshot_json : unit -> string

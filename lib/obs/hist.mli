@@ -27,9 +27,8 @@ val observe : stage:string -> name:string -> int -> unit
 (** [on_span e] observes the span's duration under its (stage, name). *)
 val on_span : Sink.span_event -> unit
 
-(** A sink that keeps only the histograms (and, being installed, enables
-    {!Metric}): no event is stored, so its memory stays bounded however
-    long it runs. *)
+(** A sink that keeps only the histograms: no event is stored, so its
+    memory stays bounded however long it runs. *)
 val sink : Sink.t
 
 type series = {

@@ -20,7 +20,7 @@
     [backoff * 2^k]) so test runs and incident reproductions see
     identical timing; pass [jitter] (0..1) to spread each sleep over
     [±jitter] of its nominal value and decorrelate clients retrying in
-    lockstep. Connect/retry activity is observable under the Obs stage
+    lockstep. Connect/retry activity is counted in {!Robust.Counters} stage
     ["serve.client"] ([connect], [connect_failed], [reconnect],
     [retry]). *)
 

@@ -26,7 +26,7 @@ type t = {
   served : int Atomic.t;
   errors : int Atomic.t;
   t0 : float;
-  owns_sink : bool;
+  uses_sink : bool;
   mutable domains : unit Domain.t array;
 }
 
@@ -344,7 +344,7 @@ let exec_stats t =
          ("served", Json.Num (float_of_int (Atomic.get t.served)));
          ("queue_depth", Json.Num (float_of_int (Jobq.length t.queue)));
          ("cache", cache_json);
-         ("counters", json_of_string (Robust.Counters.to_json ()));
+         ("counters", json_of_string (Obs.Export.counters_json ()));
          ("obs", json_of_string (Obs.Export.snapshot_json ()));
        ])
 
@@ -428,7 +428,6 @@ let deadline_verdict ~enqueued_ns (b : Protocol.body) =
     let elapsed_ms = float_of_int (Obs.Clock.now_ns () - enqueued_ns) /. 1e6 in
     if elapsed_ms >= dl then begin
       Robust.Counters.incr ~stage "deadline_exceeded";
-      Obs.Metric.incr ~stage "deadline_exceeded";
       `Expired
         (Protocol.error_item ~kind:"deadline_exceeded" ~stage:"serve.deadline"
            (Printf.sprintf
@@ -453,7 +452,7 @@ let finish_flight t key item =
   in
   let inflight = Hashtbl.length t.flights in
   Mutex.unlock t.flight_lock;
-  Obs.Metric.set_gauge ~stage:coalesce_stage "inflight" (float_of_int inflight);
+  Robust.Counters.set_gauge ~stage:coalesce_stage "inflight" (float_of_int inflight);
   List.iter
     (fun w -> respond_counted t ~respond:w.respond (Protocol.with_id ~id:w.id item))
     waiters
@@ -496,7 +495,7 @@ let worker t () =
     | None -> ()
     | Some job ->
       inflight := Some job;
-      Obs.Metric.set_gauge ~stage "queue_depth" (float_of_int (Jobq.length t.queue));
+      Robust.Counters.set_gauge ~stage "queue_depth" (float_of_int (Jobq.length t.queue));
       if Robust.Fault.enabled () && Robust.Fault.fire_p "worker_crash" then
         failwith "injected worker crash";
       run_job t job;
@@ -519,20 +518,46 @@ let worker t () =
       | None -> ());
       inflight := None;
       Robust.Counters.incr ~stage "worker_restart";
-      Obs.Metric.incr ~stage:"serve.supervisor" "restart";
       supervise ()
   in
   supervise ()
 
 (* ---------------------------------------------------------- lifecycle *)
 
+(* The engine observes itself: if the embedding process has not installed
+   a sink, the first engine installs the histogram-only one so the
+   [stats] op (and its "obs" block) always has live span data to report;
+   [stats] reads only histograms, so no events are kept. Every live engine
+   relying on that engine-installed sink is counted in [sink_users], and
+   only the last one to drain uninstalls it — and only if it is still the
+   installed sink. *)
+let sink_lock = Mutex.create ()
+let sink_users = ref 0
+
+let is_hist_sink () =
+  match Obs.Sink.installed () with Some s -> s == Obs.Hist.sink | None -> false
+
+let acquire_sink () =
+  Mutex.lock sink_lock;
+  let uses =
+    if not (Obs.Sink.enabled ()) then begin
+      Obs.Sink.install Obs.Hist.sink;
+      true
+    end
+    else !sink_users > 0 && is_hist_sink ()
+  in
+  if uses then incr sink_users;
+  Mutex.unlock sink_lock;
+  uses
+
+let release_sink () =
+  Mutex.lock sink_lock;
+  decr sink_users;
+  if !sink_users = 0 && is_hist_sink () then Obs.Sink.uninstall ();
+  Mutex.unlock sink_lock
+
 let create ?(workers = 0) ?(coalesce = true) ?(pace_us = 0) ?cache ~seed () =
-  (* the engine observes itself: if the embedding process has not
-     installed a sink, install the histogram-only one so the [stats] op
-     (and its "obs" block) always has live span/metric data to report.
-     [stats] reads only histograms and metrics, so no events are kept. *)
-  let owns_sink = not (Obs.Sink.enabled ()) in
-  if owns_sink then Obs.Sink.install Obs.Hist.sink;
+  let uses_sink = acquire_sink () in
   Option.iter Microarch.Pulse_cache.install cache;
   let t =
     {
@@ -549,7 +574,7 @@ let create ?(workers = 0) ?(coalesce = true) ?(pace_us = 0) ?cache ~seed () =
       served = Atomic.make 0;
       errors = Atomic.make 0;
       t0 = Unix.gettimeofday ();
-      owns_sink;
+      uses_sink;
       domains = [||];
     }
   in
@@ -580,14 +605,13 @@ let submit t (parsed : Protocol.parsed) ~respond =
       | Some ws ->
         ws := w :: !ws;
         Mutex.unlock t.flight_lock;
-        Obs.Metric.incr ~stage:coalesce_stage "hit";
         Robust.Counters.incr ~stage "coalesce_hit"
       | None ->
         Hashtbl.add t.flights key (ref [ w ]);
         let inflight = Hashtbl.length t.flights in
         Mutex.unlock t.flight_lock;
-        Obs.Metric.incr ~stage:coalesce_stage "leader";
-        Obs.Metric.set_gauge ~stage:coalesce_stage "inflight" (float_of_int inflight);
+        Robust.Counters.incr ~stage:coalesce_stage "leader";
+        Robust.Counters.set_gauge ~stage:coalesce_stage "inflight" (float_of_int inflight);
         if not (Jobq.push t.queue (Flight { key; body; enqueued_ns })) then begin
           (* lost the race with shutdown: nothing must execute, so the
              flight is unregistered (same drop semantics as a direct job
@@ -597,7 +621,7 @@ let submit t (parsed : Protocol.parsed) ~respond =
           Mutex.unlock t.flight_lock
         end))
   | _ -> direct ());
-  Obs.Metric.set_gauge ~stage "queue_depth" (float_of_int (Jobq.length t.queue))
+  Robust.Counters.set_gauge ~stage "queue_depth" (float_of_int (Jobq.length t.queue))
 
 (* synchronous execution for embedders: the calling thread computes the
    response itself — no queue, no workers, no coalescing. Counted in
@@ -627,7 +651,7 @@ let drain t =
   t.domains <- [||];
   if Option.is_some t.cache then Microarch.Pulse_cache.uninstall ();
   Option.iter Cache.close t.cache;
-  if t.owns_sink then Obs.Sink.uninstall ()
+  if t.uses_sink then release_sink ()
 
 let served t = Atomic.get t.served
 let errors t = Atomic.get t.errors

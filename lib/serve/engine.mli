@@ -10,7 +10,10 @@
     The engine owns the process-global pulse cache for its lifetime (when
     one is given) and a self-installed {!Obs.Hist.sink} when the embedding
     process has no sink, so the [stats] op always reports live span
-    aggregates without storing events. Both are released by {!drain}.
+    aggregates without storing events. Both are released by {!drain}; the
+    sink is shared by every live engine that relies on it and uninstalled
+    only when the last of them drains (and only if it is still the
+    installed sink).
 
     {b Single-flight coalescing} (on by default): when K in-flight
     requests share a {!Protocol.body_key} — same pure op, same quantized
@@ -19,9 +22,9 @@
     own request id. Requests attach at submit time and detach when the
     leader's result is ready, so a storm of identical cold-cache solves
     costs one solver run. Coalescing shares only concurrent work; it
-    caches nothing (the pulse cache does that). Observability: Obs stage
-    ["serve.coalesce"] counters [leader]/[hit] and gauge [inflight], plus
-    the always-on {!Robust.Counters} ["serve"]/[coalesce_hit].
+    caches nothing (the pulse cache does that). Observability:
+    {!Robust.Counters} ["serve"]/[coalesce_hit], ["serve.coalesce"]/[leader]
+    and the gauge ["serve.coalesce"]/[inflight].
 
     {b Deadlines}: a request carrying {!Protocol.body.deadline_ms} is
     stamped at submit time; a job whose deadline has already passed at
@@ -34,7 +37,7 @@
     exception escaping the per-job guards answers the in-flight request
     (fanning through the coalescing waiter list) with a typed
     [internal_error], restarts the worker loop, and counts the restart
-    (["serve"]/[worker_restart], Obs ["serve.supervisor"]/[restart]) —
+    (["serve"]/[worker_restart]) —
     a poisoned request can never shrink the pool. *)
 
 type t
@@ -80,7 +83,7 @@ val submit : t -> Protocol.parsed -> respond:(Json.t -> unit) -> unit
 val exec_once : t -> Protocol.parsed -> Json.t
 
 (** [drain t] closes the queue, executes everything already enqueued,
-    joins the workers, then releases the cache and any owned sink.
+    joins the workers, then releases the cache and its use of the sink.
     Queued jobs still answer — shutdown is a drain, not a drop. *)
 val drain : t -> unit
 

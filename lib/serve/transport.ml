@@ -213,7 +213,7 @@ let enqueue_out st c data =
       Buffer.clear c.wbuf;
       c.sending <- "";
       c.sent_off <- 0;
-      Obs.Metric.incr ~stage "write_overflow";
+      Robust.Counters.incr ~stage "write_overflow";
       true (* wake so the sweep retires the connection promptly *)
     end
     else begin
@@ -251,7 +251,7 @@ let corrupt_frame c data =
   for i = start to stop do
     Bytes.set b i '#'
   done;
-  Obs.Metric.incr ~stage "fault_frame_corrupt";
+  Robust.Counters.incr ~stage "fault_frame_corrupt";
   Bytes.to_string b
 
 (* queue one response's bytes under [c.wlock]; true when the event loop
@@ -271,7 +271,7 @@ let put_locked st c dropped data =
     Buffer.clear c.wbuf;
     c.sending <- "";
     c.sent_off <- 0;
-    Obs.Metric.incr ~stage "write_overflow";
+    Robust.Counters.incr ~stage "write_overflow";
     true
   end
   else begin
@@ -290,7 +290,7 @@ let conn_respond ?(last = false) st c json =
   let dropped, data =
     if not (Robust.Fault.enabled ()) then (false, data)
     else if Robust.Fault.fire_p "frame_drop" then begin
-      Obs.Metric.incr ~stage "fault_frame_drop";
+      Robust.Counters.incr ~stage "fault_frame_drop";
       (true, data)
     end
     else if Robust.Fault.fire_p "frame_corrupt" then (false, corrupt_frame c data)
@@ -333,7 +333,6 @@ let submit_conn ?last st c ~raw parsed =
   c.pending <- c.pending + 1;
   Mutex.unlock c.wlock;
   if shed then begin
-    Obs.Metric.incr ~stage "shed";
     Robust.Counters.incr ~stage "shed";
     conn_respond ?last st c
       (Protocol.error_response ~id:parsed.Protocol.id ~kind:"overloaded"
@@ -347,7 +346,7 @@ let submit_conn ?last st c ~raw parsed =
 (* ------------------------------------------------------ frame scanning *)
 
 let oversize st c =
-  Obs.Metric.incr ~stage "oversize_frame";
+  Robust.Counters.incr ~stage "oversize_frame";
   submit_conn st c ~raw:""
     {
       Protocol.id = Json.Null;
@@ -360,7 +359,7 @@ let handle_payload st c payload =
       (* the connection dies instead of handling the request: both
          directions shut down, queued output discarded — the client sees
          a clean EOF/reset (typed [Disconnected]), never a hang *)
-      Obs.Metric.incr ~stage "fault_conn_reset";
+      Robust.Counters.incr ~stage "fault_conn_reset";
       c.read_open <- false;
       c.want_close <- true;
       Mutex.lock c.wlock;
@@ -442,7 +441,7 @@ let feed_binary st c s =
           Buffer.clear c.rbuf;
           match Frame.decode_header hdr 0 with
           | Error msg ->
-            Obs.Metric.incr ~stage "frame_desync";
+            Robust.Counters.incr ~stage "frame_desync";
             submit_conn ~last:true st c ~raw:""
               {
                 Protocol.id = Json.Null;
@@ -488,7 +487,7 @@ let feed st c s =
     if n < 4 && Frame.matches_magic_prefix all 0 n then Buffer.add_string c.rbuf all
     else if Frame.matches_magic_prefix all 0 n then begin
       c.mode <- Binary;
-      Obs.Metric.incr ~stage "binary_conn";
+      Robust.Counters.incr ~stage "binary_conn";
       feed_binary st c all
     end
     else begin
@@ -537,7 +536,7 @@ let close_conn st c =
   if do_close then begin
     (try Unix.close c.fd with Unix.Unix_error _ -> ());
     st.conns <- List.filter (fun c' -> c' != c) st.conns;
-    Obs.Metric.set_gauge ~stage "active_connections" (float_of_int (List.length st.conns))
+    Robust.Counters.set_gauge ~stage "active_connections" (float_of_int (List.length st.conns))
   end
 
 let idle_sweep st =
@@ -547,7 +546,7 @@ let idle_sweep st =
     List.iter
       (fun c ->
         if c.read_open && now -. c.last_rx > timeout then begin
-          Obs.Metric.incr ~stage "idle_timeout";
+          Robust.Counters.incr ~stage "idle_timeout";
           enqueue_out st c
             (render c
                (Protocol.error_item ~kind:"timeout" ~stage
@@ -609,14 +608,14 @@ let admit st fd =
   in
   st.conns <- c :: st.conns;
   st.accepted <- st.accepted + 1;
-  Obs.Metric.incr ~stage "accept";
-  Obs.Metric.set_gauge ~stage "active_connections" (float_of_int (List.length st.conns))
+  Robust.Counters.incr ~stage "accept";
+  Robust.Counters.set_gauge ~stage "active_connections" (float_of_int (List.length st.conns))
 
 (* refusal happens before negotiation, so it is always a JSON line (a
    binary client surfaces it through its line fallback) *)
 let refuse st fd =
   st.refused <- st.refused + 1;
-  Obs.Metric.incr ~stage "refused";
+  Robust.Counters.incr ~stage "refused";
   let line =
     Json.to_string
       (Protocol.error_item ~kind:"overloaded" ~stage

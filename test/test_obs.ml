@@ -11,10 +11,10 @@ let contains s sub =
 let clean () =
   Obs.Sink.uninstall ();
   Obs.Hist.reset ();
-  Obs.Metric.reset ()
+  Robust.Counters.reset ()
 
-(* a sink that discards events: enables the gated paths (Metric, Span
-   timestamps) without buffering anything *)
+(* a sink that discards events: enables the gated paths (span timestamps,
+   histograms) without buffering anything *)
 let null_sink = { Obs.Sink.on_span = (fun _ -> ()) }
 
 (* ------------------------------------------------------- bucket edges *)
@@ -123,24 +123,25 @@ let test_disabled_noop () =
   Obs.Span.emit ~stage:"t" ~name:"ghost" ~t0:0;
   Alcotest.(check int) "with_ is transparent" 41
     (Obs.Span.with_ ~stage:"t" ~name:"quiet" (fun () -> 41));
-  Obs.Metric.incr ~stage:"t" "c";
-  Obs.Metric.add ~stage:"t" "c" 10;
-  Obs.Metric.set_gauge ~stage:"t" "g" 3.5;
-  Alcotest.(check int) "counter stays 0" 0 (Obs.Metric.get ~stage:"t" "c");
-  Alcotest.(check bool) "gauge unset" true (Obs.Metric.get_gauge ~stage:"t" "g" = None);
   Alcotest.(check int) "no series recorded" 0 (List.length (Obs.Hist.snapshot ()));
-  Alcotest.(check string) "prometheus empty" "" (Obs.Export.prometheus ())
+  Alcotest.(check string) "prometheus empty" "" (Obs.Export.prometheus ());
+  (* counters and gauges are not sink-gated *)
+  Robust.Counters.add ~stage:"t" "c" 10;
+  Robust.Counters.set_gauge ~stage:"t" "g" 3.5;
+  Alcotest.(check int) "counter moves" 10 (Robust.Counters.get ~stage:"t" "c");
+  Alcotest.(check bool) "gauge set" true (Robust.Counters.gauges () = [ ("t", "g", 3.5) ]);
+  clean ()
 
 let test_metric_enabled () =
   clean ();
   Obs.Sink.install null_sink;
-  Obs.Metric.incr ~stage:"t" "c";
-  Obs.Metric.add ~stage:"t" "c" 2;
-  Obs.Metric.set_gauge ~stage:"t" "g" 2.5;
-  Obs.Metric.set_gauge ~stage:"t" "g" 4.5;
-  Alcotest.(check int) "counter" 3 (Obs.Metric.get ~stage:"t" "c");
+  Robust.Counters.incr ~stage:"t" "c";
+  Robust.Counters.add ~stage:"t" "c" 2;
+  Robust.Counters.set_gauge ~stage:"t" "g" 2.5;
+  Robust.Counters.set_gauge ~stage:"t" "g" 4.5;
+  Alcotest.(check int) "counter" 3 (Robust.Counters.get ~stage:"t" "c");
   Alcotest.(check bool) "gauge last write wins" true
-    (Obs.Metric.get_gauge ~stage:"t" "g" = Some 4.5);
+    (Robust.Counters.gauges () = [ ("t", "g", 4.5) ]);
   clean ()
 
 (* ------------------------------------------------------ recorder ring *)
@@ -221,9 +222,9 @@ let test_prometheus_golden () =
   let lo = 1 lsl Obs.Hist.first_exp in
   Obs.Hist.observe ~stage:"t" ~name:"x" lo;
   Obs.Hist.observe ~stage:"t" ~name:"x" (lo + 476);
-  Obs.Metric.incr ~stage:"t" "c";
-  Obs.Metric.add ~stage:"t" "c" 2;
-  Obs.Metric.set_gauge ~stage:"t" "g" 2.5;
+  Robust.Counters.incr ~stage:"t" "c";
+  Robust.Counters.add ~stage:"t" "c" 2;
+  Robust.Counters.set_gauge ~stage:"t" "g" 2.5;
   let out = Obs.Export.prometheus () in
   clean ();
   List.iter
@@ -245,11 +246,10 @@ let test_snapshot_json_parses () =
   clean ();
   Obs.Sink.install null_sink;
   Obs.Hist.observe ~stage:"t" ~name:"x" 5000;
-  Obs.Metric.incr ~stage:"t" "c";
-  Obs.Metric.set_gauge ~stage:"t" "g" 1.5;
+  Robust.Counters.incr ~stage:"t" "c";
+  Robust.Counters.set_gauge ~stage:"t" "g" 1.5;
   let out = Obs.Export.snapshot_json () in
-  clean ();
-  match Serve.Json.parse out with
+  (match Serve.Json.parse out with
   | Error e -> Alcotest.failf "snapshot does not parse: %s" e
   | Ok json ->
     (match Serve.Json.member "spans" json with
@@ -257,16 +257,31 @@ let test_snapshot_json_parses () =
       Alcotest.(check string) "span key" "t.x" key;
       Alcotest.(check bool) "span count" true (Serve.Json.mem_num "count" span = Some 1.0)
     | _ -> Alcotest.fail "expected one span entry");
-    (match Serve.Json.member "counters" json with
-    | Some (Serve.Json.Obj [ (key, Serve.Json.Num v) ]) ->
-      Alcotest.(check string) "counter key" "t.c" key;
-      Alcotest.(check (float 0.0)) "counter value" 1.0 v
-    | _ -> Alcotest.fail "expected one counter entry");
+    Alcotest.(check bool) "counters live in counters_json" true
+      (Serve.Json.member "counters" json = None);
     match Serve.Json.member "gauges" json with
     | Some (Serve.Json.Obj [ (key, Serve.Json.Num v) ]) ->
       Alcotest.(check string) "gauge key" "t.g" key;
       Alcotest.(check (float 0.0)) "gauge value" 1.5 v
-    | _ -> Alcotest.fail "expected one gauge entry"
+    | _ -> Alcotest.fail "expected one gauge entry");
+  (* counters nest by stage; names that need JSON escaping survive *)
+  Robust.Counters.add ~stage:"t" "q\"\xc3\xa9" 2;
+  Robust.Counters.incr ~stage:"u.v" "ok";
+  let counters = Obs.Export.counters_json () in
+  clean ();
+  Alcotest.(check string) "empty registry" "{}" (Obs.Export.counters_json ());
+  match Serve.Json.parse counters with
+  | Error e -> Alcotest.failf "counters json does not parse: %s (%s)" e counters
+  | Ok json ->
+    let num path =
+      Option.bind
+        (List.fold_left (fun j k -> Option.bind j (Serve.Json.member k)) (Some json) path)
+        Serve.Json.num
+    in
+    Alcotest.(check (option (float 0.0))) "t.c" (Some 1.0) (num [ "t"; "c" ]);
+    Alcotest.(check (option (float 0.0))) "escaped name" (Some 2.0)
+      (num [ "t"; "q\"\xc3\xa9" ]);
+    Alcotest.(check (option (float 0.0))) "second stage" (Some 1.0) (num [ "u.v"; "ok" ])
 
 let () =
   Alcotest.run "obs"

@@ -58,17 +58,26 @@ let test_err_taxonomy () =
   Alcotest.(check bool) "message mentions stage" true
     (String.length s > 0 && contains s "solver.ea")
 
+(* counters and gauges move whether or not an Obs sink is installed *)
 let test_counters () =
+  Obs.Sink.uninstall ();
   Robust.Counters.reset ();
   Robust.Counters.incr ~stage:"t" "ok";
   Robust.Counters.incr ~stage:"t" "ok";
   Robust.Counters.add ~stage:"t" "retry" 3;
+  Robust.Counters.set_gauge ~stage:"t" "g" 2.5;
+  Robust.Counters.set_gauge ~stage:"t" "g" 4.5;
   Alcotest.(check int) "incr" 2 (Robust.Counters.get ~stage:"t" "ok");
   Alcotest.(check int) "add" 3 (Robust.Counters.get ~stage:"t" "retry");
-  let json = Robust.Counters.to_json () in
-  Alcotest.(check bool) "json has stage" true (contains json "\"t\"");
+  Alcotest.(check bool) "gauge last write wins" true
+    (Robust.Counters.gauges () = [ ("t", "g", 4.5) ]);
+  ignore
+    (Compiler.Synth.min_su4 (Rng.create 1L) ~n:2 ~target:Quantum.Gates.cnot ~max_gates:1);
+  Alcotest.(check bool) "synth sweeps counted with no sink" true
+    (Robust.Counters.get ~stage:"compiler.synth" "sweeps" > 0);
   Robust.Counters.reset ();
-  Alcotest.(check int) "reset" 0 (Robust.Counters.get ~stage:"t" "ok")
+  Alcotest.(check int) "reset" 0 (Robust.Counters.get ~stage:"t" "ok");
+  Alcotest.(check bool) "reset clears gauges" true (Robust.Counters.gauges () = [])
 
 let test_budget () =
   let b = Robust.Budget.make ~max_iterations:10 ~max_seconds:1e9 () in

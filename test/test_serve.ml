@@ -504,6 +504,33 @@ let test_server_stats_obs_block () =
         | _ -> false)
     | None -> Alcotest.fail "stats result missing")
 
+(* Engines share the histogram sink the first of them installed: draining
+   one leaves it to the engines still running, the last drain removes it,
+   and no drain removes a sink installed by someone else. *)
+let test_engine_sink_shared () =
+  disarm ();
+  Obs.Sink.uninstall ();
+  Obs.Hist.reset ();
+  let run eng line =
+    Serve.Json.to_string (Serve.Engine.exec_once eng (Serve.Protocol.parse_line line))
+  in
+  let a = Serve.Engine.create ~workers:1 ~seed:7L () in
+  let b = Serve.Engine.create ~workers:1 ~seed:7L () in
+  Serve.Engine.drain a;
+  Alcotest.(check bool) "sink kept for the live engine" true (Obs.Sink.enabled ());
+  ignore (run b "{\"v\":1,\"id\":1,\"op\":\"pulses\",\"gate\":\"cnot\"}");
+  Alcotest.(check bool) "live engine still observed" true
+    (contains (run b "{\"v\":1,\"id\":2,\"op\":\"stats\"}") "serve.exec.pulses");
+  Serve.Engine.drain b;
+  Alcotest.(check bool) "last drain uninstalls" false (Obs.Sink.enabled ());
+  let c = Serve.Engine.create ~workers:1 ~seed:7L () in
+  let foreign = { Obs.Sink.on_span = ignore } in
+  Obs.Sink.install foreign;
+  Serve.Engine.drain c;
+  Alcotest.(check bool) "foreign sink kept" true
+    (match Obs.Sink.installed () with Some s -> s == foreign | None -> false);
+  Obs.Sink.uninstall ()
+
 let test_server_malformed_request () =
   disarm ();
   let summary, lines =
@@ -888,6 +915,7 @@ let () =
           Alcotest.test_case "happy path" `Quick test_server_happy_path;
           Alcotest.test_case "version negotiation" `Quick test_server_version_negotiation;
           Alcotest.test_case "stats obs block" `Quick test_server_stats_obs_block;
+          Alcotest.test_case "engines share the sink" `Quick test_engine_sink_shared;
           Alcotest.test_case "malformed request" `Quick test_server_malformed_request;
           Alcotest.test_case "over budget" `Quick test_server_over_budget;
           Alcotest.test_case "solver fault" `Quick test_server_solver_fault;
