@@ -184,11 +184,10 @@ let availability ~total (t : tally) =
 let overload_burst ~burst =
   let config =
     {
-      T.server = { Serve.Server.default_config with Serve.Server.workers = 1 };
+      T.engine = { T.default_engine_config with T.workers = 1 };
       T.max_connections = 8;
       T.idle_timeout = 60.0;
       T.max_line_bytes = Serve.Protocol.max_line_bytes;
-      T.max_write_buffer = T.default_config.T.max_write_buffer;
       T.max_queue_depth = 2;
     }
   in
@@ -239,11 +238,10 @@ let overload_burst ~burst =
 let breaker_fail_fast () =
   let config =
     {
-      T.server = Serve.Server.default_config;
+      T.engine = T.default_engine_config;
       T.max_connections = 1;
       T.idle_timeout = 60.0;
       T.max_line_bytes = Serve.Protocol.max_line_bytes;
-      T.max_write_buffer = T.default_config.T.max_write_buffer;
       T.max_queue_depth = T.default_config.T.max_queue_depth;
     }
   in
@@ -343,10 +341,9 @@ let chaos ?(clients = 4) ?requests ?seed () =
   let total = clients * requests in
   let cache_path = Filename.temp_file "reqisc_chaos" ".rqcache" in
   let server_config =
-    { Serve.Server.default_config with Serve.Server.workers = 2;
-      Serve.Server.cache_path = Some cache_path }
+    { T.default_engine_config with T.workers = 2; T.cache_path = Some cache_path }
   in
-  let config = { T.default_config with T.server = server_config } in
+  let config = { T.default_config with T.engine = server_config } in
   (* reference pass: no faults; also warms the shared pulse cache so the
      chaos pass replays hits and fault handling is the variable *)
   Robust.Fault.configure None;

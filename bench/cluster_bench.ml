@@ -72,7 +72,7 @@ let balanced_coords ~config addrs =
   let names = List.map T.addr_to_string addrs in
   let ring =
     Cluster.Ring.create ~vnodes:config.Cluster.Router.vnodes
-      ~seed:config.Cluster.Router.seed names
+      ~seed:Cluster.Router.ring_seed names
   in
   let per = n_coords / List.length names in
   let counts = Hashtbl.create 8 in
@@ -100,10 +100,10 @@ let balanced_coords ~config addrs =
 let shard_tconfig ~cache_path =
   {
     T.default_config with
-    T.server =
+    T.engine =
       {
-        Serve.Server.default_config with
-        Serve.Server.workers = 1;
+        T.default_engine_config with
+        T.workers = 1;
         cache_path = Some cache_path;
         pace_us;
       };
@@ -168,8 +168,8 @@ let respawn_shard ~cache_path addr =
     | Ok _ -> ()
 
 (* one router config for the whole bench: [balanced_coords] rebuilds the
-   ring from its vnodes/seed, so workload selection and routing must
-   read the same record *)
+   ring from its vnodes (and {!Cluster.Router.ring_seed}), so workload
+   selection and routing must read the same record *)
 let router_config ~probe_interval =
   {
     Cluster.Router.default_config with

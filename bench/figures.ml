@@ -193,8 +193,8 @@ let fig12 () =
             let logical = eff.Compiler.Passes.circuit in
             let n = logical.Circuit.n in
             let topo = topo_of n shape in
-            let plain = Compiler.Routing.route ~mirror:false (Numerics.Rng.create 3L) topo logical in
-            let mir = Compiler.Routing.route ~mirror:true (Numerics.Rng.create 3L) topo logical in
+            let plain = Compiler.Routing.route ~mirror:false topo logical in
+            let mir = Compiler.Routing.route ~mirror:true topo logical in
             let cnt (r : Compiler.Routing.routed) = Circuit.count_2q r.Compiler.Routing.circuit in
             (* CNOT-ISA baseline: TKet-like circuit routed with plain SABRE *)
             let cnot_in = Compiler.Pipeline.program_to_cnot_input b.program in
@@ -204,7 +204,7 @@ let fig12 () =
               | _ -> Compiler.Baselines.tket_like cnot_in
             in
             let cx_routed =
-              Compiler.Routing.route ~mirror:false (Numerics.Rng.create 3L) topo tket
+              Compiler.Routing.route ~mirror:false topo tket
             in
             let red =
               100.0
@@ -355,14 +355,12 @@ let fig15 ~trajectories () =
                     Compiler.Routing.grid ~rows:((n + cols - 1) / cols) ~cols
                 in
                 let rt_b =
-                  Compiler.Routing.route ~mirror:false (Numerics.Rng.create 4L)
-                    (topo_of tket.Circuit.n) tket
+                  Compiler.Routing.route ~mirror:false (topo_of tket.Circuit.n) tket
                 in
                 (* lower the baseline's routing swaps to 3 CNOTs *)
                 let tket_phys = Decomp.lower_to_cx rt_b.Compiler.Routing.circuit in
                 let rt_r =
-                  Compiler.Routing.route ~mirror:true (Numerics.Rng.create 4L)
-                    (topo_of req.Circuit.n) req
+                  Compiler.Routing.route ~mirror:true (topo_of req.Circuit.n) req
                 in
                 (tket_phys, rt_r.Compiler.Routing.circuit)
             in

@@ -59,9 +59,9 @@ let contains s sub =
   let rec go i = i + n <= len && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
-(* drive a real Server.run over temp-file channels: three requests
-   (stats, pulses, batch) must yield three ok responses and a clean
-   drain *)
+(* drive the stdio endpoint ({!Serve.Transport.serve_fds}) over temp-file
+   fds: three requests (stats, pulses, batch) must yield three ok
+   responses and a clean drain *)
 let protocol_smoke () =
   let req_path = Filename.temp_file "reqisc_serve" ".in" in
   let resp_path = Filename.temp_file "reqisc_serve" ".out" in
@@ -71,15 +71,21 @@ let protocol_smoke () =
      {\"v\":1,\"id\":2,\"op\":\"pulses\",\"gate\":\"cnot\"}\n\
      {\"v\":1,\"id\":3,\"op\":\"batch\",\"requests\":[{\"op\":\"pulses\",\"gate\":\"cz\"},{\"op\":\"stats\"}]}\n";
   close_out oc;
-  let ic = open_in req_path in
-  let out = open_out resp_path in
+  let input = Unix.openfile req_path [ Unix.O_RDONLY ] 0 in
+  let output = Unix.openfile resp_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
   let summary =
-    Serve.Server.run
-      ~config:{ Serve.Server.default_config with Serve.Server.workers = 2 }
-      ic out
+    Serve.Transport.serve_fds
+      ~config:
+        {
+          Serve.Transport.default_config with
+          engine = { Serve.Transport.default_engine_config with workers = 2 };
+          idle_timeout = 0.;
+          max_queue_depth = 0;
+        }
+      ~input ~output ()
   in
-  close_in ic;
-  close_out out;
+  Unix.close input;
+  Unix.close output;
   let lines = ref [] in
   let ic = open_in resp_path in
   (try
@@ -95,7 +101,7 @@ let protocol_smoke () =
   | Error e -> (false, 0, Printf.sprintf "server failed to start: %s" e)
   | Ok s ->
     let ok =
-      s.Serve.Server.errors = 0
+      s.Serve.Transport.errors = 0
       && List.length lines = 3
       && List.for_all (fun l -> contains l "\"ok\":true") lines
     in

@@ -47,8 +47,7 @@ let stream ~clients ~requests =
     (List.init clients (fun c -> c))
 
 let server_config cache_path =
-  { Serve.Server.default_config with Serve.Server.workers = 2;
-    Serve.Server.cache_path = Some cache_path }
+  { T.default_engine_config with T.workers = 2; T.cache_path = Some cache_path }
 
 (* ----------------------------------------------------- response scanning *)
 
@@ -91,14 +90,14 @@ let run_direct ~cache_path lines =
   let config = server_config cache_path in
   let cache =
     match
-      Cache.create ~capacity:config.Serve.Server.cache_capacity ~path:cache_path ()
+      Cache.create ~capacity:config.T.cache_capacity ~path:cache_path ()
     with
     | Ok c -> c
     | Error e -> failwith ("serve-net bench: cache: " ^ e)
   in
   let eng =
     Serve.Engine.create ~workers:1 ~coalesce:false ~cache
-      ~seed:config.Serve.Server.seed ()
+      ~seed:config.T.seed ()
   in
   let bad = ref 0 in
   let (), elapsed =
@@ -168,11 +167,10 @@ let run_socket ~frames ~cache_path ~clients ~requests ~pipeline =
   let path = Filename.temp_file "reqisc_net" ".sock" in
   Sys.remove path;
   let config =
-    { T.server = server_config cache_path;
+    { T.engine = server_config cache_path;
       T.max_connections = clients + 4;
       T.idle_timeout = 60.0;
       T.max_line_bytes = Serve.Protocol.max_line_bytes;
-      T.max_write_buffer = T.default_config.T.max_write_buffer;
       T.max_queue_depth = T.default_config.T.max_queue_depth }
   in
   (* render every request (and the id key its response will echo) before
@@ -228,11 +226,10 @@ let duplicate_storm ~stormers =
   let path = Filename.temp_file "reqisc_net" ".sock" in
   Sys.remove path;
   let config =
-    { T.server = { Serve.Server.default_config with Serve.Server.workers = 1 };
+    { T.engine = { T.default_engine_config with T.workers = 1 };
       T.max_connections = stormers + 4;
       T.idle_timeout = 60.0;
       T.max_line_bytes = Serve.Protocol.max_line_bytes;
-      T.max_write_buffer = T.default_config.T.max_write_buffer;
       T.max_queue_depth = T.default_config.T.max_queue_depth }
   in
   let solve_runs_before = Robust.Counters.get ~stage:"genashn" "solve_run" in

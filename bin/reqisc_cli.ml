@@ -23,7 +23,10 @@
    request per line, one response per line; see DESIGN.md "Service &
    cache"); diagnostics go to stderr only, so stdout stays pure protocol.
    With --listen it serves the same protocol over TCP or a Unix-domain
-   socket instead (DESIGN.md "Network transport"); `client` is the
+   socket instead (DESIGN.md "Network transport"); both run the one
+   transport event loop, so --max-line caps stdio lines too, while
+   --max-conns, --max-queue and --idle-timeout apply to sockets only (a
+   stdio session is never closed for idling nor shed). `client` is the
    matching sender — request lines from argv or stdin, responses to
    stdout, deterministic retry/backoff against an overloaded server.
 
@@ -320,7 +323,7 @@ let cmd_compile name args =
       else usage_error "unknown topology %s (expected chain|grid)" kind
     in
     let routed =
-      match Reqisc.route ~mirror:true rng topo out.circuit with
+      match Reqisc.route ~mirror:true topo out.circuit with
       | Ok routed -> routed
       | Error e -> solver_error e
     in
@@ -403,10 +406,10 @@ let float_flag args flag default =
     | _ -> usage_error "%s expects a non-negative number, got %S" flag v)
 
 let cmd_serve args =
-  let config =
+  let engine =
     {
-      Serve.Server.default_config with
-      Serve.Server.cache_path = flag_value args "--cache";
+      Serve.Transport.default_engine_config with
+      Serve.Transport.cache_path = flag_value args "--cache";
       workers = int_flag args "--workers" 0;
       cache_capacity = int_flag args "--capacity" 4096;
       coalesce = not (List.mem "--no-coalesce" args);
@@ -414,17 +417,23 @@ let cmd_serve args =
     }
   in
   let workers_str =
-    if config.Serve.Server.workers = 0 then "auto"
-    else string_of_int config.Serve.Server.workers
+    if engine.Serve.Transport.workers = 0 then "auto"
+    else string_of_int engine.Serve.Transport.workers
   in
-  let cache_str = Option.value ~default:"(none)" config.Serve.Server.cache_path in
+  let cache_str = Option.value ~default:"(none)" engine.Serve.Transport.cache_path in
+  let defaults = Serve.Transport.default_config in
+  let max_line_bytes = int_flag args "--max-line" defaults.Serve.Transport.max_line_bytes in
   match flag_value args "--listen" with
   | None -> (
     Printf.eprintf "reqisc serve: stdio, %s workers, cache %s\n%!" workers_str cache_str;
-    match Serve.Server.run ~config stdin stdout with
+    (* a pipe session is never closed for idling nor shed *)
+    let config =
+      { defaults with Serve.Transport.engine; idle_timeout = 0.; max_line_bytes; max_queue_depth = 0 }
+    in
+    match Serve.Transport.serve_fds ~config ~input:Unix.stdin ~output:Unix.stdout () with
     | Ok s ->
       Printf.eprintf "reqisc serve: drained — %d responses (%d errors) in %.2fs\n%!"
-        s.Serve.Server.served s.Serve.Server.errors s.Serve.Server.elapsed
+        s.Serve.Transport.served s.Serve.Transport.errors s.Serve.Transport.elapsed
     | Error e -> usage_error "cannot open cache: %s" e)
   | Some spec -> (
     let addr =
@@ -434,14 +443,11 @@ let cmd_serve args =
     in
     let tconfig =
       {
-        Serve.Transport.server = config;
-        max_connections = int_flag args "--max-conns" 64;
-        idle_timeout = float_flag args "--idle-timeout" 300.0;
-        max_line_bytes = int_flag args "--max-line" Serve.Protocol.max_line_bytes;
-        max_write_buffer = Serve.Transport.default_config.Serve.Transport.max_write_buffer;
-        max_queue_depth =
-          int_flag args "--max-queue"
-            Serve.Transport.default_config.Serve.Transport.max_queue_depth;
+        Serve.Transport.engine;
+        max_connections = int_flag args "--max-conns" defaults.Serve.Transport.max_connections;
+        idle_timeout = float_flag args "--idle-timeout" defaults.Serve.Transport.idle_timeout;
+        max_line_bytes;
+        max_queue_depth = int_flag args "--max-queue" defaults.Serve.Transport.max_queue_depth;
       }
     in
     let ready a =

@@ -10,32 +10,30 @@ let count name = Robust.Counters.incr ~stage name
 
 type config = {
   vnodes : int;
-  seed : int;
   channels : int;
   connect_retries : int;
   connect_backoff : float;
   recv_timeout : float;
   probe_interval : float;
-  probe_timeout : float;
-  suspect_after : int;
-  down_after : int;
-  journal_capacity : int;
 }
 
 let default_config =
   {
     vnodes = 128;
-    seed = 0x51C;
     channels = 2;
     connect_retries = 2;
     connect_backoff = 0.02;
     recv_timeout = 10.0;
     probe_interval = 1.0;
-    probe_timeout = 2.0;
-    suspect_after = 1;
-    down_after = 2;
-    journal_capacity = 4096;
   }
+
+let ring_seed = 0x51C
+let probe_timeout = 2.0 (* per-probe receive bound, seconds *)
+
+(* consecutive probe/forward failures before a shard is Suspect, Down *)
+let suspect_after = 1
+let down_after = 2
+let journal_capacity = 4096 (* journalled failover keys kept *)
 
 (* one forwarded request in flight: the id-stripped body travels to the
    shard (Client.send assigns a fresh id per hop), the original id is
@@ -87,7 +85,7 @@ let journal_add t key body =
     Queue.push key t.journal_fifo;
     (* the fifo may hold keys already taken by a warmup — popping those
        is a no-op, and every live key is in the fifo, so this terminates *)
-    while Hashtbl.length t.journal > t.config.journal_capacity do
+    while Hashtbl.length t.journal > journal_capacity do
       match Queue.take_opt t.journal_fifo with
       | Some k -> Hashtbl.remove t.journal k
       | None -> Hashtbl.reset t.journal
@@ -287,7 +285,7 @@ let warmup t i =
 
 let probe t i =
   count "probe";
-  match shard_rpc t i ~timeout:t.config.probe_timeout stats_body with
+  match shard_rpc t i ~timeout:probe_timeout stats_body with
   | Ok _ -> (
     match Health.note_success t.health i with
     | `Recovered -> count "shard_up"
@@ -494,11 +492,10 @@ let create ?(config = default_config) addr_strings =
         let t =
           {
             config;
-            ring = Ring.create ~vnodes:config.vnodes ~seed:config.seed names;
+            ring = Ring.create ~vnodes:config.vnodes ~seed:ring_seed names;
             shards;
             health =
-              Health.create ~suspect_after:config.suspect_after
-                ~down_after:config.down_after (Array.length shards);
+              Health.create ~suspect_after ~down_after (Array.length shards);
             control = Jobq.create ();
             journal = Hashtbl.create 256;
             journal_fifo = Queue.create ();

@@ -38,19 +38,21 @@
 
 type config = {
   vnodes : int;  (** ring points per shard (default 128) *)
-  seed : int;  (** ring hash seed (default [0x51C]) *)
   channels : int;  (** forwarding connections per shard (default 2) *)
   connect_retries : int;  (** extra connect attempts per forward (default 2) *)
   connect_backoff : float;  (** connect retry ladder base, seconds (default 0.02) *)
   recv_timeout : float;  (** per-response receive bound, seconds (default 10.) *)
   probe_interval : float;  (** seconds between health probes (default 1.) *)
-  probe_timeout : float;  (** per-probe receive bound, seconds (default 2.) *)
-  suspect_after : int;  (** consecutive failures before Suspect (default 1) *)
-  down_after : int;  (** consecutive failures before Down (default 2) *)
-  journal_capacity : int;  (** journalled failover keys kept (default 4096) *)
 }
 
 val default_config : config
+
+(** The ring hash seed ([0x51C]): a workload that must place keys exactly
+    as the router does rebuilds the ring with [vnodes] and this seed.
+    The other fixed policies are a 2 s probe timeout, Suspect after one
+    and Down after two consecutive failures, and a 4096-key failover
+    journal. *)
+val ring_seed : int
 
 type t
 

@@ -92,14 +92,6 @@ let compact =
         else Pass.Su4 (Blocks.fuse_2q (Compact.run ctx.Pass.rng c))
       | ir -> ir)
 
-let peephole =
-  pass ~name:"peephole"
-    ~doc:"slide 2Q gates past exactly-commuting neighbors, then fuse pairs"
-    ~applies:(function Pass.Su4 _ -> true | _ -> false)
-    (fun _ctx -> function
-      | Pass.Su4 c -> Pass.Su4 (Peephole.run c)
-      | ir -> ir)
-
 let mirroring =
   pass ~name:"mirroring"
     ~doc:"replace near-identity 2Q gates by mirrored su4* + a wire swap"
@@ -144,7 +136,6 @@ let all =
     lower_3q;
     template;
     phoenix_to_su4;
-    peephole;
     hierarchical;
     hierarchical_nc;
     compact;

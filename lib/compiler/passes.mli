@@ -41,8 +41,8 @@ type output = {
 
 (** The individual passes (see each [doc] string; [describe] lists
     them). [hierarchical] compacts between rounds; [hierarchical_nc] is
-    the no-compacting ablation; [compact] and [peephole] are standalone
-    SU(4)-layer cleanups; [to_can] lowers to the final {Can, U3} ISA. *)
+    the no-compacting ablation; [compact] is a standalone SU(4)-layer
+    cleanup; [to_can] lowers to the final {Can, U3} ISA. *)
 val lower_3q : Pass.t
 
 val template : Pass.t
@@ -50,7 +50,6 @@ val phoenix_to_su4 : Pass.t
 val hierarchical : Pass.t
 val hierarchical_nc : Pass.t
 val compact : Pass.t
-val peephole : Pass.t
 val mirroring : Pass.t
 val to_can : Pass.t
 

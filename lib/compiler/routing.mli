@@ -24,7 +24,7 @@ type routed = {
   swaps_absorbed : int;  (** SWAPs fused into a preceding 2Q gate *)
 }
 
-(** [route rng topo c] maps a lowered (arity <= 2) logical circuit onto the
+(** [route topo c] maps a lowered (arity <= 2) logical circuit onto the
     topology. [mirror] enables mirroring-SABRE (default false = plain
     SABRE). [lookahead] sets the extended-set size (default 20), [passes]
     the number of bidirectional mapping-refinement passes (default 3). *)
@@ -32,7 +32,6 @@ val route :
   ?mirror:bool ->
   ?lookahead:int ->
   ?passes:int ->
-  Numerics.Rng.t ->
   topology ->
   Circuit.t ->
   routed

@@ -21,11 +21,10 @@ let compile_pauli ?mode ?plan ?isa rng p =
 let compile_pauli_exn ?mode rng p =
   fst (Compiler.Passes.compile_plan_exn ?mode rng (Compiler.Pass.Pauli p))
 
-let route_exn ?(mirror = true) rng topology c =
-  Compiler.Routing.route ~mirror rng topology c
+let route_exn ?(mirror = true) topology c = Compiler.Routing.route ~mirror topology c
 
-let route ?mirror rng topology c =
-  match route_exn ?mirror rng topology c with
+let route ?mirror topology c =
+  match route_exn ?mirror topology c with
   | r -> Ok r
   | exception Failure msg ->
     Error (Robust.Err.Ill_conditioned { stage = "compiler.routing"; detail = msg })

@@ -59,19 +59,17 @@ val compile_pauli :
 
 val compile_pauli_exn : ?mode:mode -> Rng.t -> Compiler.Phoenix.program -> compiled
 
-(** [route rng topology compiled] maps a compiled circuit onto hardware with
+(** [route topology compiled] maps a compiled circuit onto hardware with
     mirroring-SABRE. A circuit wider than the device (or a routing
     breakdown) is an [Ill_conditioned] error at stage ["compiler.routing"]. *)
 val route :
   ?mirror:bool ->
-  Rng.t ->
   Compiler.Routing.topology ->
   Circuit.t ->
   (Compiler.Routing.routed, Robust.Err.t) result
 
 val route_exn :
-  ?mirror:bool -> Rng.t -> Compiler.Routing.topology -> Circuit.t ->
-  Compiler.Routing.routed
+  ?mirror:bool -> Compiler.Routing.topology -> Circuit.t -> Compiler.Routing.routed
 
 (** {1 Pulse generation (the microarchitecture)} *)
 

@@ -83,6 +83,31 @@ let pulse_json ?residual ?retries ?note ~verdict (p : Microarch.Genashn.pulse) =
   in
   Json.Obj (base @ extra)
 
+(* one solver outcome as a response's [class] and [pulse] members:
+   Solved renders verdict "ok", Degraded "degraded" with its residual,
+   retries and note; Failed is the typed error *)
+let pulse_fields ~coords ~pulse outcome =
+  let fields x p = [ ("class", Json.Str (Weyl.Coords.to_string (coords x))); ("pulse", p) ] in
+  match outcome with
+  | Robust.Outcome.Failed e -> Error e
+  | Robust.Outcome.Solved x -> Ok (fields x (pulse_json ~verdict:"ok" (pulse x)))
+  | Robust.Outcome.Degraded (x, i) ->
+    Ok
+      (fields x
+         (pulse_json ~verdict:"degraded" ~residual:i.Robust.Outcome.residual
+            ~retries:i.Robust.Outcome.retries ~note:i.Robust.Outcome.note (pulse x)))
+
+(* a gate solved through Algorithm 1 *)
+let solve_gate ?budget coupling mat =
+  pulse_fields
+    ~coords:(fun r -> r.Microarch.Genashn.coords)
+    ~pulse:(fun r -> r.Microarch.Genashn.pulse)
+    (Microarch.Genashn.solve_r ?budget coupling mat)
+
+let pulses_item prefix = function
+  | Error e -> Protocol.err_item e
+  | Ok fields -> Protocol.ok_item ~op:"pulses" (Json.Obj (prefix @ fields))
+
 (* the request's custom plan; parse-time validation makes this
    infallible, but keep the typed error path anyway *)
 let plan_of_passes names = Compiler.Passes.of_names ~name:"request" names
@@ -105,29 +130,9 @@ let exec_pulses_plan t ~budget ~coupling ~name ~mat names =
       let rec solve acc = function
         | [] -> Ok (List.rev acc)
         | (g : Gate.t) :: rest -> (
-          match Microarch.Genashn.solve_r ?budget coupling g.mat with
-          | Robust.Outcome.Failed e -> Error e
-          | Robust.Outcome.Solved r ->
-            solve
-              (Json.Obj
-                 [
-                   ("class", Json.Str (Weyl.Coords.to_string r.Microarch.Genashn.coords));
-                   ("pulse", pulse_json ~verdict:"ok" r.Microarch.Genashn.pulse);
-                 ]
-              :: acc)
-              rest
-          | Robust.Outcome.Degraded (r, i) ->
-            solve
-              (Json.Obj
-                 [
-                   ("class", Json.Str (Weyl.Coords.to_string r.Microarch.Genashn.coords));
-                   ( "pulse",
-                     pulse_json ~verdict:"degraded" ~residual:i.Robust.Outcome.residual
-                       ~retries:i.Robust.Outcome.retries ~note:i.Robust.Outcome.note
-                       r.Microarch.Genashn.pulse );
-                 ]
-              :: acc)
-              rest)
+          match solve_gate ?budget coupling g.mat with
+          | Error e -> Error e
+          | Ok fields -> solve (Json.Obj fields :: acc) rest)
       in
       match solve [] gates with
       | Error e -> Protocol.err_item e
@@ -153,53 +158,17 @@ let exec_pulses t ~budget ~target ~coupling ~passes =
         (Printf.sprintf "unknown gate %S (expected cnot|cz|iswap|sqisw|b|swap)" name)
     | Some mat when passes <> None ->
       exec_pulses_plan t ~budget ~coupling ~name ~mat (Option.get passes)
-    | Some mat -> (
-      match Microarch.Genashn.solve_r ?budget coupling mat with
-      | Robust.Outcome.Failed e -> Protocol.err_item e
-      | Robust.Outcome.Solved r ->
-        Protocol.ok_item ~op:"pulses"
-          (Json.Obj
-             [
-               ("gate", Json.Str name);
-               ("class", Json.Str (Weyl.Coords.to_string r.Microarch.Genashn.coords));
-               ("pulse", pulse_json ~verdict:"ok" r.Microarch.Genashn.pulse);
-             ])
-      | Robust.Outcome.Degraded (r, i) ->
-        Protocol.ok_item ~op:"pulses"
-          (Json.Obj
-             [
-               ("gate", Json.Str name);
-               ("class", Json.Str (Weyl.Coords.to_string r.Microarch.Genashn.coords));
-               ( "pulse",
-                 pulse_json ~verdict:"degraded" ~residual:i.Robust.Outcome.residual
-                   ~retries:i.Robust.Outcome.retries ~note:i.Robust.Outcome.note
-                   r.Microarch.Genashn.pulse );
-             ])))
-  | Protocol.Coords (x, y, z) -> (
+    | Some mat -> pulses_item [ ("gate", Json.Str name) ] (solve_gate ?budget coupling mat))
+  | Protocol.Coords (x, y, z) ->
     let c = Weyl.Coords.make x y z in
     if not (Weyl.Coords.in_chamber ~tol:1e-9 c) then
       Protocol.error_item ~kind:"bad_request" ~stage:"serve.pulses"
         (Printf.sprintf "coords %s are outside the canonical Weyl chamber"
            (Weyl.Coords.to_string c))
     else
-      match Microarch.Genashn.solve_coords_r ?budget coupling c with
-      | Robust.Outcome.Failed e -> Protocol.err_item e
-      | Robust.Outcome.Solved p ->
-        Protocol.ok_item ~op:"pulses"
-          (Json.Obj
-             [
-               ("class", Json.Str (Weyl.Coords.to_string c));
-               ("pulse", pulse_json ~verdict:"ok" p);
-             ])
-      | Robust.Outcome.Degraded (p, i) ->
-        Protocol.ok_item ~op:"pulses"
-          (Json.Obj
-             [
-               ("class", Json.Str (Weyl.Coords.to_string c));
-               ( "pulse",
-                 pulse_json ~verdict:"degraded" ~residual:i.Robust.Outcome.residual
-                   ~retries:i.Robust.Outcome.retries ~note:i.Robust.Outcome.note p );
-             ]))
+      pulses_item []
+        (pulse_fields ~coords:(fun _ -> c) ~pulse:Fun.id
+           (Microarch.Genashn.solve_coords_r ?budget coupling c))
 
 (* ------------------------------------------------------------ compile *)
 

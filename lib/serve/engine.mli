@@ -1,11 +1,11 @@
-(** Request-execution engine shared by every server front-end.
+(** Request-execution engine behind the serving front-end.
 
-    The stdio server ({!Server}) and the socket transport ({!Transport})
-    both feed parsed protocol lines into one engine: a thread-safe job
+    The transport event loop ({!Transport}, serving stdio and sockets
+    alike) feeds parsed protocol lines into one engine: a thread-safe job
     queue drained by a Domain worker pool. Each job carries its own
     [respond] closure, so responses are routed back to wherever the
-    request came from (the stdout lock, or the originating connection's
-    write lock) — the engine itself never owns an output channel.
+    request came from (the originating connection's write lock) — the
+    engine itself never owns an output channel.
 
     The engine owns the process-global pulse cache for its lifetime (when
     one is given) and a self-installed {!Obs.Hist.sink} when the embedding

@@ -25,24 +25,53 @@ let parse_addr s =
     | other ->
       Error (Printf.sprintf "unknown scheme %S (expected tcp: or unix:)" other))
 
+type engine_config = {
+  workers : int;
+  cache_path : string option;
+  cache_capacity : int;
+  seed : int64;
+  coalesce : bool;
+  pace_us : int;
+}
+
+let default_engine_config =
+  {
+    workers = 0;
+    cache_path = None;
+    cache_capacity = 4096;
+    seed = 1L;
+    coalesce = true;
+    pace_us = 0;
+  }
+
+let open_cache (config : engine_config) =
+  match config.cache_path with
+  | None -> Ok None
+  | Some path -> (
+    match Cache.create ~capacity:config.cache_capacity ~path () with
+    | Ok c -> Ok (Some c)
+    | Error e -> Error e)
+
 type config = {
-  server : Server.config;
+  engine : engine_config;
   max_connections : int;
   idle_timeout : float;
   max_line_bytes : int;
-  max_write_buffer : int;
   max_queue_depth : int;
 }
 
 let default_config =
   {
-    server = Server.default_config;
+    engine = default_engine_config;
     max_connections = 64;
     idle_timeout = 300.0;
     max_line_bytes = Protocol.max_line_bytes;
-    max_write_buffer = 8 * Protocol.max_line_bytes;
     max_queue_depth = 256;
   }
+
+(* per-connection response queue cap in bytes: a peer that leaves this
+   much unread forfeits the connection *)
+let max_write_buffer = 8 * Protocol.max_line_bytes
 
 type summary = {
   served : int;
@@ -86,15 +115,17 @@ let stage = "serve.net"
    in kind; anything else is JSON lines. *)
 type frame_mode = Detect | Json_lines | Binary
 
-(* One per admitted client. Read-side state ([mode], [rbuf], scanners,
-   [last_rx], [read_open]) belongs to the event-loop thread alone.
-   Write-side state is shared with the worker domains under [wlock]:
-   workers render a response and append it to the bounded [wbuf]; the
-   event loop moves [wbuf] into [sending] and writes it out when the fd
-   is ready. The fd itself is touched only by the event loop, so there
-   is no close/reuse race with workers by construction. *)
+(* One per admitted client. A socket reads and writes one fd; a
+   connected pair (stdin/stdout) reads [rfd] and writes [wfd]. Read-side
+   state ([mode], [rbuf], scanners, [last_rx], [read_open]) belongs to
+   the event-loop thread alone. Write-side state is shared with the
+   worker domains under [wlock]: workers render a response and append it
+   to the bounded [wbuf]; the event loop moves [wbuf] into [sending] and
+   writes it out when [wfd] is ready. Both fds are closed only under
+   [wlock], so there is no close/reuse race with workers. *)
 type conn = {
-  fd : Unix.file_descr;
+  rfd : Unix.file_descr;
+  wfd : Unix.file_descr;
   mutable mode : frame_mode;
   rbuf : Buffer.t;  (* partial frame; bounded by the frame cap *)
   mutable discard_line : bool;  (* JSON mode: dropping an oversized line *)
@@ -121,7 +152,7 @@ type state = {
   backend : backend;
   stopping : bool Atomic.t;
   drained : bool Atomic.t;
-  listen_fd : Unix.file_descr;
+  listen_fd : Unix.file_descr option;  (* [None]: a fixed set of connections *)
   (* self-pipe: workers (and the SIGINT handler) wake the event loop out
      of [select] — after enqueueing response bytes, or to start a drain *)
   wake_r : Unix.file_descr;
@@ -179,7 +210,7 @@ let flush_locked c =
   let len = String.length c.sending in
   if c.writable && (not c.fd_closed) && c.sent_off < len then begin
     match
-      Unix.write c.fd (Bytes.unsafe_of_string c.sending) c.sent_off (len - c.sent_off)
+      Unix.write c.wfd (Bytes.unsafe_of_string c.sending) c.sent_off (len - c.sent_off)
     with
     | n -> c.sent_off <- c.sent_off + n
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
@@ -187,6 +218,7 @@ let flush_locked c =
       ()
     | exception Unix.Unix_error _ ->
       c.writable <- false;
+      c.want_close <- true;
       Buffer.clear c.wbuf;
       c.sending <- "";
       c.sent_off <- 0
@@ -206,7 +238,7 @@ let enqueue_out st c data =
   Mutex.lock c.wlock;
   let need_wake =
     if c.fd_closed || not c.writable then false
-    else if queued_bytes_locked c + String.length data > st.config.max_write_buffer
+    else if queued_bytes_locked c + String.length data > max_write_buffer
     then begin
       c.writable <- false;
       c.want_close <- true;
@@ -256,7 +288,7 @@ let corrupt_frame c data =
 
 (* queue one response's bytes under [c.wlock]; true when the event loop
    must be woken *)
-let put_locked st c dropped data =
+let put_locked c dropped data =
   c.pending <- c.pending - 1;
   if c.fd_closed || not c.writable then false
   else if dropped then
@@ -264,7 +296,7 @@ let put_locked st c dropped data =
        flush when this was the burst's last pending response *)
     if c.pending > 0 && Buffer.length c.wbuf < batch_bytes then false
     else flush_locked c
-  else if queued_bytes_locked c + String.length data > st.config.max_write_buffer
+  else if queued_bytes_locked c + String.length data > max_write_buffer
   then begin
     c.writable <- false;
     c.want_close <- true;
@@ -303,13 +335,18 @@ let conn_respond ?(last = false) st c json =
       false
     end
     else
-      let w = put_locked st c dropped data in
-      match c.last_word with
-      | Some (dropped, data) when c.pending = 1 ->
-        c.last_word <- None;
-        let w' = put_locked st c dropped data in
-        w || w'
-      | _ -> w
+      let w = put_locked c dropped data in
+      let w =
+        match c.last_word with
+        | Some (dropped, data) when c.pending = 1 ->
+          c.last_word <- None;
+          let w' = put_locked c dropped data in
+          w || w'
+        | _ -> w
+      in
+      (* a closing connection's last response: wake the loop to retire
+         it now rather than on the next select tick *)
+      w || (c.want_close && c.pending = 0)
   in
   Mutex.unlock c.wlock;
   if need_wake then wake st
@@ -353,8 +390,10 @@ let oversize st c =
       body = Error (Protocol.oversize_message st.config.max_line_bytes);
     }
 
+(* once a drain has begun no further request executes, even one already
+   read in the same chunk as the [shutdown]; framing errors still answer *)
 let handle_payload st c payload =
-  if String.trim payload <> "" then
+  if String.trim payload <> "" && not (Atomic.get st.stopping) then
     if Robust.Fault.enabled () && Robust.Fault.fire_p "conn_reset" then begin
       (* the connection dies instead of handling the request: both
          directions shut down, queued output discarded — the client sees
@@ -368,7 +407,7 @@ let handle_payload st c payload =
       c.sending <- "";
       c.sent_off <- 0;
       Mutex.unlock c.wlock;
-      try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
+      try Unix.shutdown c.rfd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
     end
     else begin
       let p = Protocol.parse_line ~max_bytes:st.config.max_line_bytes payload in
@@ -449,7 +488,7 @@ let feed_binary st c s =
               };
             c.read_open <- false;
             c.want_close <- true;
-            (try Unix.shutdown c.fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
+            (try Unix.shutdown c.rfd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
           | Ok n when n > max_bytes ->
             oversize st c;
             c.discard_bytes <- n;
@@ -500,7 +539,7 @@ let feed st c s =
 let read_chunk = Bytes.create 65536 (* event-loop thread only *)
 
 let handle_read st c =
-  match Unix.read c.fd read_chunk 0 (Bytes.length read_chunk) with
+  match Unix.read c.rfd read_chunk 0 (Bytes.length read_chunk) with
   | 0 ->
     (* peer closed (or the drain half-closed us): flush what is queued,
        answer what is pending, then retire *)
@@ -534,7 +573,8 @@ let close_conn st c =
   if do_close then c.fd_closed <- true;
   Mutex.unlock c.wlock;
   if do_close then begin
-    (try Unix.close c.fd with Unix.Unix_error _ -> ());
+    (try Unix.close c.rfd with Unix.Unix_error _ -> ());
+    if c.wfd <> c.rfd then (try Unix.close c.wfd with Unix.Unix_error _ -> ());
     st.conns <- List.filter (fun c' -> c' != c) st.conns;
     Robust.Counters.set_gauge ~stage "active_connections" (float_of_int (List.length st.conns))
   end
@@ -553,7 +593,7 @@ let idle_sweep st =
                   (Printf.sprintf "connection idle for more than %gs; closing" timeout)));
           c.read_open <- false;
           c.want_close <- true;
-          try Unix.shutdown c.fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ()
+          try Unix.shutdown c.rfd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ()
         end)
       st.conns
   end
@@ -563,6 +603,14 @@ let retire_sweep st =
     (fun c ->
       let ready =
         Mutex.lock c.wlock;
+        if not c.writable then begin
+          (* dead output (a reader that went away, a forfeited queue):
+             nothing read from now on could be answered, so stop reading
+             — a stdio session whose stdout closed ends here instead of
+             executing its input to EOF *)
+          c.read_open <- false;
+          c.want_close <- true
+        end;
         let r =
           c.want_close && c.pending <= 0
           && ((not c.writable) || queued_bytes_locked c = 0)
@@ -582,12 +630,12 @@ let rec write_all fd b off len =
     write_all fd b (off + n) (len - n)
   end
 
-let admit st fd =
-  (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-  Unix.set_nonblock fd;
+(* [rfd] and [wfd] must already be nonblocking *)
+let admit st ~rfd ~wfd =
   let c =
     {
-      fd;
+      rfd;
+      wfd;
       mode = Detect;
       rbuf = Buffer.create 512;
       discard_line = false;
@@ -627,14 +675,18 @@ let refuse st fd =
    with Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-let accept_burst st =
+let accept_burst st listen_fd =
   let continue = ref true in
   while !continue do
-    match Unix.accept ~cloexec:true st.listen_fd with
+    match Unix.accept ~cloexec:true listen_fd with
     | fd, _peer ->
       if Atomic.get st.stopping then (try Unix.close fd with Unix.Unix_error _ -> ())
       else if List.length st.conns >= st.config.max_connections then refuse st fd
-      else admit st fd
+      else begin
+        (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+        Unix.set_nonblock fd;
+        admit st ~rfd:fd ~wfd:fd
+      end
     | exception
         Unix.Unix_error
           ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED), _, _) ->
@@ -649,21 +701,23 @@ let drain_wake_pipe st =
   | _ -> ()
   | exception Unix.Unix_error _ -> ()
 
-(* One thread owns every fd: [select] watches the listener, the wake
-   pipe, every open connection for readability, and connections with
+(* One thread owns every fd: [select] watches the listener (if any), the
+   wake pipe, every open connection for readability, and connections with
    queued response bytes for writability. The 0.25s timeout doubles as
    the idle-timeout sweep tick and the SIGINT poll (the runtime delivers
-   signal handlers on the main domain once it re-enters OCaml code). *)
+   signal handlers on the main domain once it re-enters OCaml code). A
+   loop without a listener drains once its last connection retires. *)
 let event_loop st =
   while not (Atomic.get st.stopping) do
     let rfds =
-      st.listen_fd :: st.wake_r
-      :: List.filter_map
-           (fun c -> if c.read_open && not c.fd_closed then Some c.fd else None)
-           st.conns
+      Option.to_list st.listen_fd
+      @ st.wake_r
+        :: List.filter_map
+             (fun c -> if c.read_open && not c.fd_closed then Some c.rfd else None)
+             st.conns
     in
     let wconns = List.filter write_stalled st.conns in
-    (match Unix.select rfds (List.map (fun c -> c.fd) wconns) [] 0.25 with
+    (match Unix.select rfds (List.map (fun c -> c.wfd) wconns) [] 0.25 with
     | readable, writable, _ ->
       if List.mem st.wake_r readable then begin
         (* a worker's optimistic write would have blocked: retry every
@@ -672,51 +726,54 @@ let event_loop st =
         drain_wake_pipe st;
         List.iter (fun c -> if write_stalled c then flush_out c) st.conns
       end;
-      List.iter (fun c -> if List.mem c.fd writable then flush_out c) wconns;
+      List.iter (fun c -> if List.mem c.wfd writable then flush_out c) wconns;
       List.iter
         (fun c ->
-          if c.read_open && (not c.fd_closed) && List.mem c.fd readable then
+          if c.read_open && (not c.fd_closed) && List.mem c.rfd readable then
             handle_read st c)
         st.conns;
-      if (not (Atomic.get st.stopping)) && List.mem st.listen_fd readable then
-        accept_burst st
+      (match st.listen_fd with
+      | Some l when (not (Atomic.get st.stopping)) && List.mem l readable ->
+        accept_burst st l
+      | _ -> ())
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
     idle_sweep st;
-    retire_sweep st
+    retire_sweep st;
+    if st.listen_fd = None && st.conns = [] then Atomic.set st.stopping true
   done
 
 (* drain: stop reading everywhere, let the backend finish everything
    already queued (responses keep landing in the write queues), and keep
    flushing until the backend is drained and every deliverable byte is
    out. The backend drains on a helper thread so this loop can keep
-   writing concurrently — a full write queue never deadlocks the drain. *)
+   writing concurrently — a full write queue never deadlocks the drain.
+   With every connection already retired (stdio at EOF) there is nothing
+   left to write, so it drains inline and skips the thread. *)
 let flush_until_drained st =
   List.iter
     (fun c ->
       c.read_open <- false;
-      try Unix.shutdown c.fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
+      try Unix.shutdown c.rfd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
     st.conns;
-  let drainer =
-    Thread.create
-      (fun () ->
-        st.backend.drain ();
-        Atomic.set st.drained true;
-        wake st)
-      ()
+  let drain () =
+    st.backend.drain ();
+    Atomic.set st.drained true;
+    wake st
   in
+  let drainer = if st.conns = [] then (drain (); None) else Some (Thread.create drain ()) in
   let rec loop () =
     let pending_out = List.filter has_output st.conns in
     if (not (Atomic.get st.drained)) || pending_out <> [] then begin
-      (match Unix.select [ st.wake_r ] (List.map (fun c -> c.fd) pending_out) [] 0.05 with
+      (match Unix.select [ st.wake_r ] (List.map (fun c -> c.wfd) pending_out) [] 0.05 with
       | readable, writable, _ ->
         if List.mem st.wake_r readable then drain_wake_pipe st;
-        List.iter (fun c -> if List.mem c.fd writable then flush_out c) pending_out
+        List.iter (fun c -> if List.mem c.wfd writable then flush_out c) pending_out
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
       loop ()
     end
   in
   loop ();
-  Thread.join drainer;
+  Option.iter Thread.join drainer;
   List.iter (fun c -> close_conn st c) st.conns
 
 (* ----------------------------------------------------------------- bind *)
@@ -777,73 +834,101 @@ let bind_listener = function
 
 (* ---------------------------------------------------------------- serve *)
 
-let serve_backend ?(config = default_config) ?ready backend addr =
+(* the loop shared by every entry point: [conns] are admitted before the
+   first [select]; [listen_fd], when given, accepts more *)
+let run_loop ~config ~listen_fd ~conns ~on_start backend =
   let t0 = Unix.gettimeofday () in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
+  let st =
+    {
+      config;
+      backend;
+      stopping = Atomic.make false;
+      drained = Atomic.make false;
+      listen_fd;
+      wake_r;
+      wake_w;
+      conns = [];
+      accepted = 0;
+      refused = 0;
+    }
+  in
+  List.iter (fun (rfd, wfd) -> admit st ~rfd ~wfd) conns;
+  (* a write to a vanished client must yield EPIPE, not kill us *)
+  let old_sigpipe =
+    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
+    with Invalid_argument _ | Sys_error _ -> None
+  in
+  let old_sigint =
+    try Some (Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> initiate_drain st)))
+    with Invalid_argument _ | Sys_error _ -> None
+  in
+  on_start ();
+  event_loop st;
+  Option.iter (fun l -> try Unix.close l with Unix.Unix_error _ -> ()) listen_fd;
+  flush_until_drained st;
+  (try Unix.close st.wake_r with Unix.Unix_error _ -> ());
+  (try Unix.close st.wake_w with Unix.Unix_error _ -> ());
+  (try Option.iter (Sys.set_signal Sys.sigpipe) old_sigpipe with _ -> ());
+  (try Option.iter (Sys.set_signal Sys.sigint) old_sigint with _ -> ());
+  {
+    served = backend.served ();
+    errors = backend.errors ();
+    connections = st.accepted;
+    refused = st.refused;
+    elapsed = Unix.gettimeofday () -. t0;
+  }
+
+let serve_backend ?(config = default_config) ?ready backend addr =
   match bind_listener addr with
   | Error e -> Error e
   | Ok (listen_fd, actual) ->
-    let cleanup_path () =
-      match addr with
-      | Unix_path p -> (try Unix.unlink p with Unix.Unix_error _ -> ())
-      | Tcp _ -> ()
-    in
-    let wake_r, wake_w = Unix.pipe ~cloexec:true () in
     Unix.set_nonblock listen_fd;
-    Unix.set_nonblock wake_r;
-    Unix.set_nonblock wake_w;
-    let st =
-      {
-        config;
-        backend;
-        stopping = Atomic.make false;
-        drained = Atomic.make false;
-        listen_fd;
-        wake_r;
-        wake_w;
-        conns = [];
-        accepted = 0;
-        refused = 0;
-      }
+    let summary =
+      run_loop ~config ~listen_fd:(Some listen_fd) ~conns:[]
+        ~on_start:(fun () -> Option.iter (fun f -> f actual) ready)
+        backend
     in
-    (* a write to a vanished client must yield EPIPE, not kill us *)
-    let old_sigpipe =
-      try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-      with Invalid_argument _ | Sys_error _ -> None
-    in
-    let old_sigint =
-      try Some (Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> initiate_drain st)))
-      with Invalid_argument _ | Sys_error _ -> None
-    in
-    Option.iter (fun f -> f actual) ready;
-    event_loop st;
-    (try Unix.close st.listen_fd with Unix.Unix_error _ -> ());
-    flush_until_drained st;
-    (try Unix.close st.wake_r with Unix.Unix_error _ -> ());
-    (try Unix.close st.wake_w with Unix.Unix_error _ -> ());
-    (try Option.iter (Sys.set_signal Sys.sigpipe) old_sigpipe with _ -> ());
-    (try Option.iter (Sys.set_signal Sys.sigint) old_sigint with _ -> ());
-    cleanup_path ();
-    Ok
-      {
-        served = backend.served ();
-        errors = backend.errors ();
-        connections = st.accepted;
-        refused = st.refused;
-        elapsed = Unix.gettimeofday () -. t0;
-      }
+    (match addr with
+    | Unix_path p -> (try Unix.unlink p with Unix.Unix_error _ -> ())
+    | Tcp _ -> ());
+    Ok summary
 
-let serve ?(config = default_config) ?ready addr =
-  match Server.open_cache config.server with
+(* a fresh engine from [config.engine] behind [run]; [run]'s Ok path
+   drains it, an Error (bind failure) must still release its domains and
+   cache *)
+let with_engine config run =
+  match open_cache config.engine with
   | Error e -> Error e
   | Ok cache ->
+    let e = config.engine in
     let engine =
-      Engine.create ~workers:config.server.Server.workers
-        ~coalesce:config.server.Server.coalesce
-        ~pace_us:config.server.Server.pace_us ?cache
-        ~seed:config.server.Server.seed ()
+      Engine.create ~workers:e.workers ~coalesce:e.coalesce ~pace_us:e.pace_us ?cache
+        ~seed:e.seed ()
     in
-    let r = serve_backend ~config ?ready (engine_backend engine) addr in
-    (* on the Ok path the drain already ran inside [serve_backend]; a
-       bind failure must still release the engine's domains and cache *)
+    let r = run (engine_backend engine) in
     (match r with Error _ -> Engine.drain engine | Ok _ -> ());
     r
+
+let serve ?(config = default_config) ?ready addr =
+  with_engine config (fun backend -> serve_backend ~config ?ready backend addr)
+
+let serve_fds ?(config = default_config) ~input ~output () =
+  with_engine config (fun backend ->
+      (* the loop owns and closes these duplicates; nonblocking mode is a
+         property of the shared file description (possibly the caller's
+         terminal), so it is switched back off on the way out *)
+      let rfd = Unix.dup ~cloexec:true input and wfd = Unix.dup ~cloexec:true output in
+      Unix.set_nonblock rfd;
+      Unix.set_nonblock wfd;
+      let summary =
+        Fun.protect
+          ~finally:(fun () ->
+            (try Unix.clear_nonblock input with Unix.Unix_error _ -> ());
+            try Unix.clear_nonblock output with Unix.Unix_error _ -> ())
+          (fun () ->
+            run_loop ~config ~listen_fd:None ~conns:[ (rfd, wfd) ] ~on_start:ignore backend)
+      in
+      Ok summary)

@@ -183,10 +183,10 @@ let test_health_walk () =
 let shard_config ~cache_path =
   {
     T.default_config with
-    T.server =
+    T.engine =
       {
-        Serve.Server.default_config with
-        Serve.Server.workers = 1;
+        T.default_engine_config with
+        T.workers = 1;
         cache_path = Some cache_path;
       };
   }

@@ -205,7 +205,7 @@ let test_routing_deterministic () =
   in
   let topo = Compiler.Routing.grid ~rows:2 ~cols:3 in
   let route () =
-    let out = Compiler.Routing.route ~mirror:true (Rng.create 5L) topo c in
+    let out = Compiler.Routing.route ~mirror:true topo c in
     Circuit.count_2q out.Compiler.Routing.circuit
   in
   Alcotest.(check int) "same route" (route ()) (route ())
@@ -221,7 +221,7 @@ let test_routing_wide_grid () =
            Gate.su4 a b (Quantum.Haar.su4 r)))
   in
   let topo = Compiler.Routing.grid ~rows:3 ~cols:3 in
-  let out = Compiler.Routing.route ~mirror:true (Rng.create 5L) topo c in
+  let out = Compiler.Routing.route ~mirror:true topo c in
   List.iter
     (fun (g : Gate.t) ->
       if Gate.is_2q g then

@@ -292,7 +292,7 @@ let test_protocol_passes () =
   | Error msg ->
     Alcotest.(check bool) "names the unknown pass" true (contains msg "nope");
     Alcotest.(check bool) "names the registry" true (contains msg "known passes");
-    Alcotest.(check bool) "mentions peephole" true (contains msg "peephole")
+    Alcotest.(check bool) "mentions compact" true (contains msg "compact")
   | Ok _ -> Alcotest.fail "unknown pass accepted");
   (* an empty array is an error, not an empty plan *)
   (match parse_body "{\"v\":1,\"op\":\"compile\",\"bench\":\"alu_2\",\"passes\":[]}" with
@@ -320,7 +320,7 @@ let test_protocol_passes () =
     "{\"v\":1,\"op\":\"compile\",\"bench\":\"alu_2\",\"passes\":[\"lower_3q\",\"template\",\"mirroring\"]}"
   in
   let planned2 =
-    "{\"v\":1,\"op\":\"compile\",\"bench\":\"alu_2\",\"passes\":[\"lower_3q\",\"template\",\"peephole\",\"mirroring\"]}"
+    "{\"v\":1,\"op\":\"compile\",\"bench\":\"alu_2\",\"passes\":[\"lower_3q\",\"template\",\"compact\",\"mirroring\"]}"
   in
   Alcotest.(check bool) "legacy = explicit-null key" true (key base = key with_null);
   Alcotest.(check bool) "plan changes the key" true (key base <> key planned);
@@ -386,9 +386,10 @@ let test_response_carries_version () =
 
 (* --------------------------------------------------------------- server *)
 
-(* drive a full Server.run over temp-file channels and hand back the
+(* drive the stdio endpoint ({!Serve.Transport.serve_fds}, configured as
+   [reqisc_cli serve] configures it) over temp-file fds and hand back the
    response lines *)
-let run_server ?(workers = 1) lines =
+let run_server ?(workers = 1) ?(max_line_bytes = Serve.Protocol.max_line_bytes) lines =
   let req = Filename.temp_file "reqisc_test" ".in" in
   let resp = Filename.temp_file "reqisc_test" ".out" in
   let oc = open_out req in
@@ -398,15 +399,20 @@ let run_server ?(workers = 1) lines =
       output_char oc '\n')
     lines;
   close_out oc;
-  let ic = open_in req in
-  let out = open_out resp in
-  let summary =
-    Serve.Server.run
-      ~config:{ Serve.Server.default_config with Serve.Server.workers }
-      ic out
+  let input = Unix.openfile req [ Unix.O_RDONLY ] 0 in
+  let output = Unix.openfile resp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+  let config =
+    {
+      Serve.Transport.default_config with
+      engine = { Serve.Transport.default_engine_config with workers };
+      idle_timeout = 0.;
+      max_line_bytes;
+      max_queue_depth = 0;
+    }
   in
-  close_in ic;
-  close_out out;
+  let summary = Serve.Transport.serve_fds ~config ~input ~output () in
+  Unix.close input;
+  Unix.close output;
   let acc = ref [] in
   let ic = open_in resp in
   (try
@@ -444,8 +450,8 @@ let test_server_happy_path () =
       ]
   in
   Alcotest.(check int) "three responses" 3 (List.length lines);
-  Alcotest.(check int) "served" 3 summary.Serve.Server.served;
-  Alcotest.(check int) "no errors" 0 summary.Serve.Server.errors;
+  Alcotest.(check int) "served" 3 summary.Serve.Transport.served;
+  Alcotest.(check int) "no errors" 0 summary.Serve.Transport.errors;
   List.iter
     (fun l -> Alcotest.(check bool) "ok response" true (contains l "\"ok\":true"))
     lines;
@@ -467,7 +473,7 @@ let test_server_version_negotiation () =
       ]
   in
   Alcotest.(check int) "all answered" 3 (List.length lines);
-  Alcotest.(check int) "two rejections" 2 summary.Serve.Server.errors;
+  Alcotest.(check int) "two rejections" 2 summary.Serve.Transport.errors;
   Alcotest.(check bool) "missing v is bad_request" true
     (contains (find_by_id lines 1) "bad_request");
   Alcotest.(check bool) "alien v is bad_request" true
@@ -543,7 +549,7 @@ let test_server_malformed_request () =
       ]
   in
   Alcotest.(check int) "every line answered" 4 (List.length lines);
-  Alcotest.(check int) "errors counted" 3 summary.Serve.Server.errors;
+  Alcotest.(check int) "errors counted" 3 summary.Serve.Transport.errors;
   List.iter
     (fun id ->
       Alcotest.(check bool)
@@ -570,7 +576,7 @@ let test_server_over_budget () =
   Alcotest.(check bool) "is an error response" true (contains l "\"ok\":false");
   Alcotest.(check bool) "unbudgeted request unaffected" true
     (contains (find_by_id lines 2) "\"ok\":true");
-  Alcotest.(check int) "summary error count" 1 summary.Serve.Server.errors
+  Alcotest.(check int) "summary error count" 1 summary.Serve.Transport.errors
 
 let test_server_solver_fault () =
   let x, y, z = ea_xyz in
@@ -586,7 +592,7 @@ let test_server_solver_fault () =
       Alcotest.(check bool) "typed non_convergence" true (contains l "non_convergence");
       Alcotest.(check bool) "server alive after fault" true
         (contains (find_by_id lines 2) "\"ok\":true");
-      Alcotest.(check int) "clean drain" 2 summary.Serve.Server.served)
+      Alcotest.(check int) "clean drain" 2 summary.Serve.Transport.served)
 
 let test_server_shutdown_drains () =
   disarm ();
@@ -605,7 +611,129 @@ let test_server_shutdown_drains () =
   List.iter (fun id -> ignore (find_by_id lines id)) [ 1; 2; 3 ];
   Alcotest.(check bool) "post-shutdown line unread" true
     (List.for_all (fun l -> not (contains l "\"id\":99")) lines);
-  Alcotest.(check int) "summary served" 3 summary.Serve.Server.served
+  Alcotest.(check int) "summary served" 3 summary.Serve.Transport.served
+
+(* EOF with responses still in flight: the last response wakes the loop
+   to retire the connection and drain, instead of waiting out the 0.25 s
+   select tick *)
+let test_server_eof_retires_promptly () =
+  disarm ();
+  let summary, lines =
+    run_server [ "{\"v\":1,\"id\":1,\"op\":\"stats\"}"; "{\"v\":1,\"id\":2,\"op\":\"stats\"}" ]
+  in
+  Alcotest.(check int) "both answered" 2 (List.length lines);
+  if summary.Serve.Transport.elapsed >= 0.2 then
+    Alcotest.failf "stdio session took %.3fs to drain" summary.Serve.Transport.elapsed
+
+(* SIGINT drains a stdio session that is still open: the queued request
+   answers and the loop returns instead of dying on the interrupted
+   select *)
+let test_server_sigint_drains () =
+  disarm ();
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let line = "{\"v\":1,\"id\":1,\"op\":\"stats\"}\n" in
+  ignore (Unix.write_substring in_w line 0 (String.length line));
+  let first = ref "" in
+  (* the response proves the loop (and its SIGINT handler) is running *)
+  let interrupter =
+    Thread.create
+      (fun () ->
+        let buf = Bytes.create 65536 in
+        let n = Unix.read out_r buf 0 (Bytes.length buf) in
+        first := Bytes.sub_string buf 0 n;
+        Unix.kill (Unix.getpid ()) Sys.sigint)
+      ()
+  in
+  let config =
+    {
+      Serve.Transport.default_config with
+      engine = { Serve.Transport.default_engine_config with workers = 1 };
+      idle_timeout = 0.;
+      max_queue_depth = 0;
+    }
+  in
+  let summary = Serve.Transport.serve_fds ~config ~input:in_r ~output:out_w () in
+  Thread.join interrupter;
+  List.iter Unix.close [ in_r; in_w; out_r; out_w ];
+  (match summary with
+  | Ok s -> Alcotest.(check int) "served" 1 s.Serve.Transport.served
+  | Error e -> Alcotest.failf "stdio endpoint failed: %s" e);
+  Alcotest.(check bool) "request answered" true (contains !first "\"id\":1")
+
+(* a reader that closes the output ends the session even while input
+   keeps coming: the old stdio server died of SIGPIPE here, the event
+   loop ignores SIGPIPE and must stop reading instead *)
+let test_server_output_closed () =
+  disarm ();
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  Unix.close out_r;
+  Unix.set_nonblock in_w;
+  (* a producer that never stops on its own (like [yes]): it keeps the
+     pipe full for at most 3 s *)
+  let finished = Atomic.make false in
+  let feeder =
+    Thread.create
+      (fun () ->
+        let t0 = Unix.gettimeofday () in
+        let block = String.concat "" (List.init 64 (fun _ -> "{\"v\":1,\"id\":1,\"op\":\"stats\"}\n")) in
+        while (not (Atomic.get finished)) && Unix.gettimeofday () -. t0 < 3.0 do
+          try ignore (Unix.write_substring in_w block 0 (String.length block))
+          with Unix.Unix_error _ -> Thread.delay 0.001
+        done;
+        Unix.close in_w)
+      ()
+  in
+  let config =
+    {
+      Serve.Transport.default_config with
+      engine = { Serve.Transport.default_engine_config with workers = 1 };
+      idle_timeout = 0.;
+      max_queue_depth = 0;
+    }
+  in
+  let summary = Serve.Transport.serve_fds ~config ~input:in_r ~output:out_w () in
+  Atomic.set finished true;
+  Thread.join feeder;
+  Unix.close in_r;
+  Unix.close out_w;
+  match summary with
+  | Error e -> Alcotest.failf "stdio endpoint failed: %s" e
+  | Ok s ->
+    if s.Serve.Transport.elapsed >= 1.5 then
+      Alcotest.failf "session kept reading for %.1fs after its output closed"
+        s.Serve.Transport.elapsed
+
+(* a line over the frame cap is answered with one bad_request naming the
+   limit and discarded, while the requests on either side still answer *)
+let test_server_oversize_line () =
+  disarm ();
+  let before = Robust.Counters.get ~stage:"serve.net" "oversize_frame" in
+  let summary, lines =
+    run_server ~max_line_bytes:1024
+      [
+        "{\"v\":1,\"id\":1,\"op\":\"stats\"}";
+        String.make 4096 'x';
+        "{\"v\":1,\"id\":2,\"op\":\"pulses\",\"gate\":\"cnot\"}";
+      ]
+  in
+  Alcotest.(check int) "three responses" 3 (List.length lines);
+  Alcotest.(check int) "one error" 1 summary.Serve.Transport.errors;
+  (match List.filter (fun l -> contains l "\"ok\":false") lines with
+  | [ l ] ->
+    Alcotest.(check bool) "bad_request" true (contains l "bad_request");
+    Alcotest.(check bool) "names the limit" true (contains l "1024")
+  | ls -> Alcotest.failf "expected one error response, got %d" (List.length ls));
+  List.iter
+    (fun id ->
+      Alcotest.(check bool)
+        (Printf.sprintf "id %d answered ok" id)
+        true
+        (contains (find_by_id lines id) "\"ok\":true"))
+    [ 1; 2 ];
+  Alcotest.(check int) "oversize frame counted" 1
+    (Robust.Counters.get ~stage:"serve.net" "oversize_frame" - before)
 
 (* ----------------------------------------------------------- coalescing *)
 
@@ -786,7 +914,7 @@ let test_deadline_expired_skips_solver () =
     (Robust.Counters.get ~stage:"serve" "deadline_exceeded" - exceeded0);
   Alcotest.(check bool) "later request unaffected" true
     (contains (find_by_id lines 2) "\"ok\":true");
-  Alcotest.(check int) "summary error count" 1 summary.Serve.Server.errors
+  Alcotest.(check int) "summary error count" 1 summary.Serve.Transport.errors
 
 let test_deadline_generous_and_invalid () =
   disarm ();
@@ -847,7 +975,7 @@ let test_worker_supervision () =
         (contains (find_by_id lines 3) "\"ok\":true");
       Alcotest.(check int) "restarts counted" 2
         (Robust.Counters.get ~stage:"serve" "worker_restart" - restarts0);
-      Alcotest.(check int) "clean drain" 3 summary.Serve.Server.served)
+      Alcotest.(check int) "clean drain" 3 summary.Serve.Transport.served)
 
 let test_coalesce_drain_waiters () =
   disarm ();
@@ -886,7 +1014,7 @@ let test_coalesce_drain_waiters () =
       rest
   | [] -> Alcotest.fail "no waiter responses");
   Alcotest.(check int) "summary served everything" (List.length resps)
-    summary.Serve.Server.served
+    summary.Serve.Transport.served
 
 let () =
   disarm ();
@@ -920,6 +1048,10 @@ let () =
           Alcotest.test_case "over budget" `Quick test_server_over_budget;
           Alcotest.test_case "solver fault" `Quick test_server_solver_fault;
           Alcotest.test_case "shutdown drains" `Quick test_server_shutdown_drains;
+          Alcotest.test_case "oversize line" `Quick test_server_oversize_line;
+          Alcotest.test_case "eof retires promptly" `Quick test_server_eof_retires_promptly;
+          Alcotest.test_case "sigint drains" `Quick test_server_sigint_drains;
+          Alcotest.test_case "output closed ends session" `Quick test_server_output_closed;
         ] );
       ( "coalescing",
         [

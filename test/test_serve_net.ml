@@ -1,6 +1,6 @@
-(* Socket transport: the network front-end must be observationally
-   equivalent to the stdio server (differential test over the same
-   request stream), survive concurrent pipelined clients and mid-stream
+(* Socket transport: the socket endpoint must be observationally
+   equivalent to the stdio endpoint of the same event loop (differential
+   test over the same request stream), survive concurrent pipelined clients and mid-stream
    disconnects with an exact id bijection, and enforce the connection
    lifecycle guards — overload refusal, idle timeout, frame cap — as
    typed JSON errors followed by a graceful drain. *)
@@ -29,11 +29,10 @@ let net_config ?(workers = 2) ?(max_connections = 64) ?(idle_timeout = 300.0)
     ?(max_line_bytes = Serve.Protocol.max_line_bytes)
     ?(max_queue_depth = T.default_config.T.max_queue_depth) () =
   {
-    T.server = { Serve.Server.default_config with Serve.Server.workers };
+    T.engine = { T.default_engine_config with T.workers };
     max_connections;
     idle_timeout;
     max_line_bytes;
-    max_write_buffer = T.default_config.T.max_write_buffer;
     max_queue_depth;
   }
 
@@ -154,8 +153,8 @@ let test_tcp_happy_path () =
 
 (* --------------------------------------------------------- differential *)
 
-(* identical request stream through the in-process stdio server and
-   through a loopback socket: the response SETS must match keyed by "id"
+(* identical request stream through the stdio endpoint
+   ({!T.serve_fds} over temp-file fds) and through a loopback socket: the response SETS must match keyed by "id"
    (completion order may differ). Only op=stats results are volatile
    (uptime, queue depth, live counters) — normalize them to null,
    recursively so batch items are covered too. *)
@@ -190,15 +189,15 @@ let run_stdio_server lines =
   let oc = open_out req in
   List.iter (fun l -> output_string oc (l ^ "\n")) lines;
   close_out oc;
-  let ic = open_in req in
-  let out = open_out resp in
+  let input = Unix.openfile req [ Unix.O_RDONLY ] 0 in
+  let output = Unix.openfile resp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
   let summary =
-    Serve.Server.run
-      ~config:{ Serve.Server.default_config with Serve.Server.workers = 2 }
-      ic out
+    T.serve_fds
+      ~config:{ (net_config ()) with T.idle_timeout = 0.; max_queue_depth = 0 }
+      ~input ~output ()
   in
-  close_in ic;
-  close_out out;
+  Unix.close input;
+  Unix.close output;
   let acc = ref [] in
   let ic = open_in resp in
   (try
